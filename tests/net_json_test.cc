@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <string>
 
 namespace churnlab {
@@ -128,6 +130,95 @@ TEST(ParseReceiptBatch, HostileNestingFailsFast) {
   ASSERT_FALSE(parsed.ok());
   EXPECT_TRUE(parsed.status().IsInvalidArgument())
       << parsed.status().ToString();
+}
+
+uint64_t BitsOf(double value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+// Pins accept/reject and the exact bits of number tokens, so a faster
+// number parser cannot drift from the strtod semantics clients rely on:
+// the journal and the offline oracle must see the same spend bits.
+TEST(ParseReceiptBatch, NumberTokensTable) {
+  struct Case {
+    const char* spend;
+    bool accepted;
+    uint64_t bits;
+  };
+  const Case cases[] = {
+      {"+1.5", true, 0x3ff8000000000000ull},
+      {"1e400", false, 0},
+      {"-1e400", false, 0},
+      {"1e-400", false, 0},
+      // strtod reports ERANGE for a subnormal result, so it is rejected.
+      {"4.9e-324", false, 0},
+      {"2.2250738585072014e-308", true, 0x0010000000000000ull},
+      {"-0", true, 0x8000000000000000ull},
+      {"007", true, 0x401c000000000000ull},
+      {"1.", true, 0x3ff0000000000000ull},
+      {".5", true, 0x3fe0000000000000ull},
+      {"-.5", true, 0xbfe0000000000000ull},
+      {"1E+5", true, 0x40f86a0000000000ull},
+      {"0.30000000000000004", true, 0x3fd3333333333334ull},
+      {"1.7976931348623157e308", true, 0x7fefffffffffffffull},
+      {"1e", false, 0},
+      {"--1", false, 0},
+      {"1.5.2", false, 0},
+  };
+  for (const Case& c : cases) {
+    const std::string body = std::string(R"({"receipts":[{"customer":1,)") +
+                             R"("day":2,"spend":)" + c.spend + "}]}";
+    const Result<std::vector<retail::Receipt>> parsed =
+        ParseReceiptBatch(body, /*max_receipts=*/10);
+    EXPECT_EQ(parsed.ok(), c.accepted) << c.spend;
+    if (!parsed.ok()) {
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+          << c.spend;
+      EXPECT_NE(parsed.status().message().find("receipt 0"),
+                std::string::npos)
+          << parsed.status().ToString();
+      EXPECT_NE(parsed.status().message().find(c.spend), std::string::npos)
+          << parsed.status().ToString();
+      continue;
+    }
+    ASSERT_EQ(parsed->size(), 1u);
+    EXPECT_EQ(BitsOf((*parsed)[0].spend), c.bits) << c.spend;
+  }
+
+  // Identifiers stay integers: exponent notation is not an id.
+  const Result<std::vector<retail::Receipt>> exponent_id = ParseReceiptBatch(
+      R"({"receipts":[{"customer":1e5,"day":2}]})", /*max_receipts=*/10);
+  ASSERT_FALSE(exponent_id.ok());
+  EXPECT_EQ(exponent_id.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(exponent_id.status().message().find("1e5"), std::string::npos)
+      << exponent_id.status().ToString();
+}
+
+TEST(ParseReceiptBatch, ManyItemsAndReceiptsRoundTrip) {
+  std::string body = R"({"receipts":[)";
+  for (int r = 0; r < 50; ++r) {
+    if (r > 0) body += ',';
+    body += R"({"customer":)" + std::to_string(r) + R"(,"day":)" +
+            std::to_string(r * 3) + R"(,"items":[)";
+    for (int i = 0; i <= r; ++i) {
+      if (i > 0) body += ',';
+      body += std::to_string(i * 7);
+    }
+    body += "]}";
+  }
+  body += "]}";
+  const Result<std::vector<retail::Receipt>> parsed =
+      ParseReceiptBatch(body, /*max_receipts=*/100);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->size(), 50u);
+  for (int r = 0; r < 50; ++r) {
+    const retail::Receipt& receipt = (*parsed)[static_cast<size_t>(r)];
+    EXPECT_EQ(receipt.customer, static_cast<retail::CustomerId>(r));
+    ASSERT_EQ(receipt.items.size(), static_cast<size_t>(r + 1));
+    EXPECT_EQ(receipt.items.back(), static_cast<retail::ItemId>(r * 7));
+  }
 }
 
 TEST(WriteBatchReportJson, CarriesCountsAndSequence) {
