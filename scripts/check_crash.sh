@@ -11,9 +11,16 @@
 #      fault-free offline replay (serve-replay) of the same receipt prefix,
 #      and a `serve-http --recover` restart of the same journal serves it.
 #
+# Concurrent rounds flood over two connections (`flood --connections 2`,
+# connection k owning the customers with id % 2 == k), so coalesced rounds
+# overlap in the journal's group commit. Their arrival order depends on
+# timing, so they assert invariant 1 and a clean recovery (never DataLoss)
+# plus the restart check, but not invariant 2.
+#
 # The matrix runs under both --journal-fsync=always and batch. With the
-# default 6 timed rounds per policy plus the 8-point failpoint matrix per
-# policy, one run exercises 28 distinct kill points.
+# default 6 timed rounds per policy, the 8-point failpoint matrix per
+# policy and 4 concurrent rounds per policy, one run exercises 36
+# distinct kill points.
 #
 # Finally the journal suites (journal_test, journal_fuzz_test) run under
 # ThreadSanitizer and AddressSanitizer+UBSan; skip that section with
@@ -82,12 +89,15 @@ next_sequence_of() {
 }
 
 # One crash round: flood, die, recover, verify.
-#   round <tag> <fsync> <kill_mode> <kill_arg>
+#   round <tag> <fsync> <kill_mode> <kill_arg> [connections]
 #     kill_mode=timed: kill -9 the server kill_arg seconds into the flood
 #     kill_mode=failpoint: arm kill_arg (an abort spec); the server kills
 #       itself at that exact site and the flood client runs into the corpse
+#     connections: flood connections (default 1); above 1 the rounds
+#       overlap and invariant 2 is not checked
 round() {
   local tag="$1" fsync="$2" kill_mode="$3" kill_arg="$4"
+  local connections="${5:-1}"
   rm -rf "${JOURNAL}" "${SNAPSHOT}" "${ACKS}"
   local log="${WORK_DIR}/${tag}.server.log"
   if [[ "${kill_mode}" == failpoint ]]; then
@@ -96,11 +106,12 @@ round() {
     start_server "${fsync}" "${log}"
   fi
 
-  # Flood the whole dataset sequentially on one connection; every ack line
-  # lands in ${ACKS} strictly after the server's 200 was read, so the file
-  # never claims an ack the client did not observe.
+  # Flood the whole dataset; every ack line lands in ${ACKS} strictly
+  # after the server's 200 was read, so the file never claims an ack the
+  # client did not observe.
   "${CLI}" flood --data "${DATASET}" --port "${PORT}" \
-      --request-receipts 40 --acks-out "${ACKS}" \
+      --request-receipts 40 --connections "${connections}" \
+      --acks-out "${ACKS}" \
       > "${WORK_DIR}/${tag}.flood.log" 2>&1 &
   local flood_pid=$!
 
@@ -115,9 +126,11 @@ round() {
   wait "${flood_pid}" 2>/dev/null || true
   KILLS=$((KILLS + 1))
 
+  # The highest acknowledged end: with several connections the ack
+  # lines are not in sequence order.
   local acked=0
   if [[ -s "${ACKS}" ]]; then
-    acked=$(tail -1 "${ACKS}" | sed -n 's/.*end=\([0-9]*\).*/\1/p')
+    acked=$(sed -n 's/.*end=\([0-9]*\).*/\1/p' "${ACKS}" | sort -n | tail -1)
   fi
 
   # Read-only recovery through the offline tooling: scan the journal as the
@@ -131,6 +144,11 @@ round() {
     cat "${recover_log}" >&2
     exit 1
   }
+  if grep -qi 'data loss' "${recover_log}"; then
+    echo "check_crash: ${tag}: recovery reported data loss:" >&2
+    cat "${recover_log}" >&2
+    exit 1
+  fi
   local next
   next=$(next_sequence_of "${recover_log}")
   [[ -n "${next}" ]] || {
@@ -146,17 +164,20 @@ round() {
   fi
 
   # Invariant 2: recovered state == fault-free oracle of the same prefix.
-  # The flood sends the day-sorted replay stream sequentially, so sequence
-  # k is exactly replay receipt k and `--limit-receipts next` is the
-  # acknowledged-plus-journaled prefix.
-  "${CLI}" serve-replay --data "${DATASET}" --limit-receipts "${next}" \
-      --batch-days 7 --snapshot-out "${WORK_DIR}/${tag}.oracle.snap" \
-      > /dev/null 2>&1
-  cmp "${WORK_DIR}/${tag}.recovered.snap" "${WORK_DIR}/${tag}.oracle.snap" || {
-    echo "check_crash: ${tag}: recovered state differs from the fault-free" \
-         "oracle at ${next} receipts" >&2
-    exit 1
-  }
+  # A single-connection flood sends the day-sorted replay stream
+  # sequentially, so sequence k is exactly replay receipt k and
+  # `--limit-receipts next` is the acknowledged-plus-journaled prefix.
+  if [[ "${connections}" == 1 ]]; then
+    "${CLI}" serve-replay --data "${DATASET}" --limit-receipts "${next}" \
+        --batch-days 7 --snapshot-out "${WORK_DIR}/${tag}.oracle.snap" \
+        > /dev/null 2>&1
+    cmp "${WORK_DIR}/${tag}.recovered.snap" \
+        "${WORK_DIR}/${tag}.oracle.snap" || {
+      echo "check_crash: ${tag}: recovered state differs from the" \
+           "fault-free oracle at ${next} receipts" >&2
+      exit 1
+    }
+  fi
 
   # The real restart path: serve-http --recover on the same journal must
   # come up, report the same next-sequence, and serve.
@@ -214,6 +235,14 @@ for fsync in always batch; do
         'serve.journal.checkpoint=abort@nth(3)'
   round "${fsync}-snapwrite-2" "${fsync}" failpoint \
         'serve.snapshot.write_frame=abort@nth(2)'
+
+  echo "== ${fsync}-fsync: concurrent rounds over 2 connections =="
+  round "${fsync}-2conn-timed-1" "${fsync}" timed 0.10 2
+  round "${fsync}-2conn-timed-2" "${fsync}" timed 0.30 2
+  round "${fsync}-2conn-fsync-2" "${fsync}" failpoint \
+        'serve.journal.fsync=abort@nth(2)' 2
+  round "${fsync}-2conn-fsync-40" "${fsync}" failpoint \
+        'serve.journal.fsync=abort@nth(40)' 2
 done
 echo "== ${KILLS} kill points survived with zero acknowledged loss =="
 

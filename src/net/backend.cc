@@ -10,16 +10,17 @@ Result<serve::BatchReport> FleetBackend::Ingest(
   std::lock_guard<std::mutex> lock(mutex_);
   // Write-ahead: the batch must be journaled before the fleet applies it.
   // Under FsyncPolicy::kAlways the append is durable when it returns; under
-  // kBatch the Sync below makes the whole round durable before any of its
-  // responses are sent (the coalescer acks only after Ingest returns).
+  // kBatch the coalescer's WaitDurable makes it durable before any of the
+  // round's responses are sent, outside this mutex.
   if (options_.journal != nullptr) {
     CHURNLAB_RETURN_NOT_OK(options_.journal->Append(first_sequence, receipts));
   }
-  Result<serve::BatchReport> report = fleet_->IngestBatch(receipts);
-  if (options_.journal != nullptr && report.ok()) {
-    CHURNLAB_RETURN_NOT_OK(options_.journal->Sync());
-  }
-  return report;
+  return fleet_->IngestBatch(receipts);
+}
+
+Status FleetBackend::WaitDurable(uint64_t end_sequence) {
+  if (options_.journal == nullptr) return Status::OK();
+  return options_.journal->SyncThrough(end_sequence);
 }
 
 Result<serve::CustomerQuery> FleetBackend::Customer(
@@ -31,6 +32,9 @@ Result<serve::CustomerQuery> FleetBackend::Customer(
 
 Result<serve::FleetHealth> FleetBackend::Health() {
   std::lock_guard<std::mutex> lock(mutex_);
+  if (options_.journal != nullptr) {
+    CHURNLAB_RETURN_NOT_OK(options_.journal->sync_error());
+  }
   return fleet_->HealthReport();
 }
 

@@ -19,19 +19,35 @@ namespace net {
 /// net, and tests can serve a scripted backend without a fleet.
 ///
 /// Thread contract: Ingest, Health, Memory and Snapshot are mutually
-/// serialized by the implementation; Customer may run concurrently with
-/// any of them (FleetBackend satisfies this with one operation mutex plus
-/// the fleet's own per-shard locking for Customer).
+/// serialized by the implementation; Customer and WaitDurable may run
+/// concurrently with any of them (FleetBackend satisfies this with one
+/// operation mutex, the fleet's own per-shard locking for Customer, and
+/// the journal's group commit for WaitDurable).
+///
+/// Ingest path: the coalescer calls Ingest for one round at a time, in
+/// sequence order, then — after handing the next round its turn — calls
+/// WaitDurable for the round's end sequence, and acknowledges the round's
+/// requests only once that returns OK. So round N+1 appends and applies
+/// while round N waits for its fsync.
 class ScoringBackend {
  public:
   virtual ~ScoringBackend() = default;
 
-  /// Ingests one coalesced batch. `first_sequence` is the arrival sequence
-  /// number of the batch's first receipt (the coalescer's rounds are
-  /// sequence-contiguous), which a journaling backend persists with the
-  /// batch so crash recovery can replay in arrival order.
+  /// Ingests one coalesced batch: applied in sequence order when this
+  /// returns, but not necessarily durable yet (see WaitDurable).
+  /// `first_sequence` is the arrival sequence number of the batch's first
+  /// receipt (the coalescer's rounds are sequence-contiguous), which a
+  /// journaling backend persists with the batch so crash recovery can
+  /// replay in arrival order.
   virtual Result<serve::BatchReport> Ingest(
       uint64_t first_sequence, std::span<const retail::Receipt> receipts) = 0;
+  /// Blocks until every ingested receipt below `end_sequence` survives a
+  /// crash; an error means those receipts must not be acknowledged. The
+  /// default suits backends whose Ingest is already durable on return.
+  virtual Status WaitDurable(uint64_t end_sequence) {
+    (void)end_sequence;
+    return Status::OK();
+  }
   virtual Result<serve::CustomerQuery> Customer(
       retail::CustomerId customer) = 0;
   virtual Result<serve::FleetHealth> Health() = 0;
@@ -55,11 +71,12 @@ class FleetBackend final : public ScoringBackend {
     /// truncating with a bare snapshot.
     bool snapshot_append = true;
     /// Write-ahead ingest journal (borrowed; may be null). When set, every
-    /// batch is appended — and, under FsyncPolicy::kAlways/kBatch, made
-    /// durable — before Ingest returns, and Snapshot() checkpoints the
-    /// journal at the applied-sequence watermark after flushing the
+    /// batch is appended before the fleet applies it, WaitDurable is the
+    /// journal's group commit (SyncThrough), and Snapshot() checkpoints
+    /// the journal at the applied-sequence watermark after flushing the
     /// snapshot. The journal's own sequence tracking enforces that batches
-    /// arrive contiguous.
+    /// arrive contiguous. After an fsync failure Ingest and Health fail
+    /// with the journal's sticky DataLoss.
     serve::IngestJournal* journal = nullptr;
   };
 
@@ -69,6 +86,7 @@ class FleetBackend final : public ScoringBackend {
   Result<serve::BatchReport> Ingest(
       uint64_t first_sequence,
       std::span<const retail::Receipt> receipts) override;
+  Status WaitDurable(uint64_t end_sequence) override;
   Result<serve::CustomerQuery> Customer(retail::CustomerId customer) override;
   Result<serve::FleetHealth> Health() override;
   Result<serve::StateMemoryStats> Memory() override;

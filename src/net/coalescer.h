@@ -20,14 +20,16 @@ namespace net {
 ///
 /// Requests enqueue under one mutex, which assigns every receipt a global
 /// *arrival sequence number* — the enqueue order IS the ingestion order.
-/// The first waiter becomes the leader: it drains the queue (up to
-/// Options::max_batch_receipts per round), concatenates the drained
-/// requests into one IngestBatch in sequence order, runs it against the
-/// backend once, then demultiplexes the merged BatchReport back into
-/// per-request slices (serve::SliceBatchReport) and wakes each waiter.
-/// Followers block until their slice is ready. When the queue still holds
-/// requests after a round the leader keeps going; otherwise leadership is
-/// released to the next arrival.
+/// A leader runs exactly one round: it pops queued requests (up to
+/// Options::max_batch_receipts), concatenates them into one IngestBatch in
+/// sequence order and runs it against the backend once. It then hands
+/// leadership to the request now at the queue's front (or releases it to
+/// the next arrival when the queue is empty), waits for the round to be
+/// durable (ScoringBackend::WaitDurable), demultiplexes the merged
+/// BatchReport into per-request slices (serve::SliceBatchReport) and
+/// wakes each waiter. So backend Ingest calls stay serialized and in
+/// sequence order, while one round's durability wait overlaps the next
+/// round's Ingest. No request completes before its round is durable.
 ///
 /// Determinism: per-customer monitor state depends only on that customer's
 /// observation order, and batch boundaries are invisible to it — so a
@@ -75,22 +77,29 @@ class IngestCoalescer {
   struct PendingRequest {
     std::vector<retail::Receipt> receipts;
     uint64_t first_sequence = 0;
+    /// Set when this request, at the queue's front, is to lead a round.
+    bool lead = false;
     bool done = false;
+    /// Signals `lead` or `done` to this request's thread alone, so a round
+    /// wakes only the threads it concerns.
+    std::condition_variable cv;
     Status status;
     serve::BatchReport slice;
   };
 
-  /// Drains and ingests rounds until the queue is empty. Called by the
-  /// leader with `lock` held; unlocks around the backend call.
-  void RunLeader(std::unique_lock<std::mutex>* lock);
+  /// Pops and runs one round, hands leadership on, waits for the round's
+  /// durability and completes its requests. Called by the leader with
+  /// `lock` held; unlocks around the backend calls.
+  void RunRound(std::unique_lock<std::mutex>* lock);
 
   Options options_;
   ScoringBackend* backend_;
   mutable std::mutex mutex_;
-  std::condition_variable done_cv_;
   std::deque<PendingRequest*> queue_;
   size_t queued_receipts_ = 0;
   uint64_t next_sequence_ = 0;
+  /// A leader is running a round's Ingest or has been named to (the queue
+  /// front's `lead` flag). False only when the queue is empty.
   bool leader_active_ = false;
 };
 

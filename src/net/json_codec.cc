@@ -1,5 +1,9 @@
 #include "net/json_codec.h"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -94,9 +98,33 @@ class Scanner {
     return ParseInt64(token);
   }
 
+  /// strtod semantics without its per-token string copy: from_chars
+  /// takes the common case; anything it refuses (a leading '+', overflow,
+  /// trailing junk) and any subnormal result, which strtod rejects with
+  /// ERANGE, go to ParseDouble for the same verdict and error message.
   Result<double> Number() {
     CHURNLAB_ASSIGN_OR_RETURN(const std::string_view token, NumberToken());
+    const char* const end = token.data() + token.size();
+    double value = 0;
+    const auto [parsed_end, ec] = std::from_chars(token.data(), end, value);
+    if (ec == std::errc() && parsed_end == end &&
+        std::fpclassify(value) != FP_SUBNORMAL) {
+      return value;
+    }
     return ParseDouble(token);
+  }
+
+  /// Elements of the flat array whose '[' was just consumed, counted as
+  /// its commas plus one: a reserve hint, exact for well-formed input and
+  /// capped so a body of bare commas cannot size a large allocation.
+  size_t FlatArrayLengthHint() const {
+    constexpr size_t kMaxHint = 4096;
+    const char* const begin = text_.data() + pos_;
+    const void* close = std::memchr(begin, ']', text_.size() - pos_);
+    if (close == nullptr) return 0;
+    const auto commas = static_cast<size_t>(
+        std::count(begin, static_cast<const char*>(close), ','));
+    return std::min(commas + 1, kMaxHint);
   }
 
   bool AtEnd() {
@@ -150,6 +178,7 @@ Status ParseOneReceipt(Scanner* scanner, size_t index,
       } else if (*key == "items") {
         CHURNLAB_RETURN_NOT_OK(scanner->Expect('['));
         if (!scanner->Consume(']')) {
+          receipt->items.reserve(scanner->FlatArrayLengthHint());
           for (;;) {
             Result<uint64_t> item = scanner->Uint();
             if (!item.ok()) return ReceiptError(index, item.status());
@@ -203,6 +232,12 @@ Result<std::vector<retail::Receipt>> ParseReceiptBatch(std::string_view body,
   CHURNLAB_RETURN_NOT_OK(scanner.Expect(':'));
   CHURNLAB_RETURN_NOT_OK(scanner.Expect('['));
   std::vector<retail::Receipt> receipts;
+  // Every receipt is one flat object, so the body's '{' count (the
+  // envelope's included) bounds the batch; capped so a hostile body cannot
+  // size the allocation.
+  receipts.reserve(std::min<size_t>(
+      static_cast<size_t>(std::count(body.begin(), body.end(), '{')),
+      max_receipts));
   if (!scanner.Consume(']')) {
     for (;;) {
       if (receipts.size() >= max_receipts) {

@@ -54,12 +54,16 @@ constexpr MetricHelpEntry kInventory[] = {
     {"churnlab.journal.checkpoints", "journal checkpoints written"},
     {"churnlab.journal.discarded_tail_frames",
      "torn tail frames discarded during journal recovery"},
+    {"churnlab.journal.durable_sequence",
+     "one past the last receipt sequence on stable storage"},
     {"churnlab.journal.fsync_us",
      "journal fsync latency in microseconds"},
     {"churnlab.journal.recovered_frames",
      "frames replayed from the journal during recovery"},
     {"churnlab.journal.recovered_receipts",
      "receipts replayed from the journal during recovery"},
+    {"churnlab.journal.rounds_per_fsync",
+     "ingest rounds made durable by one group-commit journal fsync"},
     {"churnlab.journal.truncated_segments",
      "journal segments deleted by checkpoint truncation"},
     {"churnlab.net.bytes_read", "bytes received from HTTP clients"},

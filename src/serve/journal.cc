@@ -48,6 +48,8 @@ struct JournalMetrics {
   obs::Counter* recovered_receipts;
   obs::Counter* discarded_tail_frames;
   obs::Histogram* fsync_us;
+  obs::Histogram* rounds_per_fsync;
+  obs::Gauge* durable_sequence;
 };
 
 const JournalMetrics& Metrics() {
@@ -63,6 +65,9 @@ const JournalMetrics& Metrics() {
         registry.GetCounter("churnlab.journal.discarded_tail_frames"),
         registry.GetHistogram("churnlab.journal.fsync_us",
                               obs::HistogramOptions::ExponentialLatency()),
+        registry.GetHistogram("churnlab.journal.rounds_per_fsync",
+                              obs::HistogramOptions::ExponentialLatency()),
+        registry.GetGauge("churnlab.journal.durable_sequence"),
     };
   }();
   return metrics;
@@ -222,11 +227,11 @@ IngestJournal::IngestJournal(IngestJournal&& other) noexcept
       fd_(other.fd_),
       dir_fd_(other.dir_fd_),
       active_segment_bytes_(other.active_segment_bytes_),
-      next_sequence_(other.next_sequence_),
+      next_sequence_(other.next_sequence()),
       active_segment_has_frames_(other.active_segment_has_frames_),
-      dirty_(other.dirty_),
       oldest_segment_(other.oldest_segment_),
-      sealed_segment_ends_(std::move(other.sealed_segment_ends_)) {
+      sealed_segment_ends_(std::move(other.sealed_segment_ends_)),
+      sync_(std::move(other.sync_)) {
   other.fd_ = -1;
   other.dir_fd_ = -1;
 }
@@ -239,11 +244,11 @@ IngestJournal& IngestJournal::operator=(IngestJournal&& other) noexcept {
     fd_ = other.fd_;
     dir_fd_ = other.dir_fd_;
     active_segment_bytes_ = other.active_segment_bytes_;
-    next_sequence_ = other.next_sequence_;
+    next_sequence_.store(other.next_sequence(), std::memory_order_release);
     active_segment_has_frames_ = other.active_segment_has_frames_;
-    dirty_ = other.dirty_;
     oldest_segment_ = other.oldest_segment_;
     sealed_segment_ends_ = std::move(other.sealed_segment_ends_);
+    sync_ = std::move(other.sync_);
     other.fd_ = -1;
     other.dir_fd_ = -1;
   }
@@ -292,16 +297,23 @@ Status IngestJournal::OpenActiveSegment(uint64_t segment,
 }
 
 Status IngestJournal::RotateSegment() {
+  // The descriptor swap happens under the sync mutex with no fsync in
+  // flight, so no group-commit leader is left holding a closed descriptor.
+  std::unique_lock<std::mutex> lock(sync_->mutex);
+  sync_->cv.wait(lock, [this] { return !sync_->in_progress; });
+  if (!sync_->error.ok()) return sync_->error;
   if (fd_ >= 0) {
-    // Seal the outgoing segment: flush it, remember its end sequence so
-    // Checkpoint knows when it may be unlinked.
-    if (dirty_ && options_.fsync != FsyncPolicy::kNone) {
-      CHURNLAB_RETURN_NOT_OK(FsyncFd(fd_, SegmentPath(active_segment_)));
-      dirty_ = false;
+    // Seal the outgoing segment: flush it (advancing the durable
+    // watermark, so every unsynced frame lives in the new segment), and
+    // remember its end sequence so Checkpoint knows when it may be
+    // unlinked.
+    if (durable_sequence() < next_sequence() &&
+        options_.fsync != FsyncPolicy::kNone) {
+      CHURNLAB_RETURN_NOT_OK(LeadSync(&lock));
     }
     ::close(fd_);
     fd_ = -1;
-    sealed_segment_ends_.emplace_back(active_segment_, next_sequence_);
+    sealed_segment_ends_.emplace_back(active_segment_, next_sequence());
   }
   const uint64_t segment = active_segment_ + 1;
   const std::string path = SegmentPath(segment);
@@ -323,6 +335,7 @@ Status IngestJournal::RotateSegment() {
   active_segment_bytes_ = header.buffer().size();
   active_segment_has_frames_ = false;
   if (oldest_segment_ == 0) oldest_segment_ = segment;
+  lock.unlock();
   // Make the new directory entry durable before frames land in it.
   return SyncDirectory();
 }
@@ -332,11 +345,16 @@ Status IngestJournal::Append(uint64_t first_sequence,
   if (options_.read_only) {
     return Status::FailedPrecondition("journal is open read-only");
   }
-  if (first_sequence != next_sequence_) {
+  {
+    // Fail-stop: nothing is appended after a failed fsync.
+    std::lock_guard<std::mutex> lock(sync_->mutex);
+    if (!sync_->error.ok()) return sync_->error;
+  }
+  if (first_sequence != next_sequence()) {
     return Status::InvalidArgument(
         "journal append out of sequence: frame starts at " +
         std::to_string(first_sequence) + ", journal expects " +
-        std::to_string(next_sequence_));
+        std::to_string(next_sequence()));
   }
   if (receipts.empty()) return Status::OK();
   if (fd_ < 0 || active_segment_bytes_ >= options_.max_segment_bytes) {
@@ -362,25 +380,90 @@ Status IngestJournal::Append(uint64_t first_sequence,
   CHURNLAB_RETURN_NOT_OK(WriteAll(fd_, bytes.data(), bytes.size(), path));
   active_segment_bytes_ += bytes.size();
   active_segment_has_frames_ = true;
-  next_sequence_ = first_sequence + receipts.size();
-  dirty_ = true;
+  const uint64_t end_sequence = first_sequence + receipts.size();
+  {
+    // Publish the frame only now that its bytes are written: an fsync
+    // leader that captures end_sequence covers them.
+    std::lock_guard<std::mutex> lock(sync_->mutex);
+    next_sequence_.store(end_sequence, std::memory_order_release);
+    ++sync_->appended_frames;
+    if (options_.fsync == FsyncPolicy::kNone) PublishDurable(end_sequence);
+  }
   Metrics().appended_frames->Increment();
   Metrics().appended_bytes->Increment(bytes.size());
   if (options_.fsync == FsyncPolicy::kAlways) {
-    CHURNLAB_RETURN_NOT_OK(Sync());
+    return SyncThrough(end_sequence);
   }
   return Status::OK();
 }
 
-Status IngestJournal::Sync() {
+Status IngestJournal::Sync() { return SyncThrough(next_sequence()); }
+
+Status IngestJournal::SyncThrough(uint64_t end_sequence) {
   if (options_.read_only) {
     return Status::FailedPrecondition("journal is open read-only");
   }
-  if (!dirty_ || options_.fsync == FsyncPolicy::kNone) return Status::OK();
-  CHURNLAB_FAILPOINT("serve.journal.fsync");
-  CHURNLAB_RETURN_NOT_OK(FsyncFd(fd_, SegmentPath(active_segment_)));
-  dirty_ = false;
-  return Status::OK();
+  if (options_.fsync == FsyncPolicy::kNone) return Status::OK();
+  std::unique_lock<std::mutex> lock(sync_->mutex);
+  if (end_sequence > next_sequence()) {
+    return Status::InvalidArgument(
+        "cannot sync through sequence " + std::to_string(end_sequence) +
+        ": the journal has appended only up to " +
+        std::to_string(next_sequence()));
+  }
+  for (;;) {
+    if (!sync_->error.ok()) return sync_->error;
+    if (durable_sequence() >= end_sequence) return Status::OK();
+    if (!sync_->in_progress) break;
+    // Join the fsync in flight; if it does not cover end_sequence, the
+    // next pass leads one that does.
+    sync_->cv.wait(lock);
+  }
+  return LeadSync(&lock);
+}
+
+Status IngestJournal::LeadSync(std::unique_lock<std::mutex>* lock) {
+  SyncState& sync = *sync_;
+  sync.in_progress = true;
+  // Everything appended so far sits in the active segment (rotation seals
+  // the old one first), so one fsync of its descriptor covers it all.
+  const uint64_t target = next_sequence();
+  const uint64_t frames = sync.appended_frames;
+  const int fd = fd_;
+  const std::string path = SegmentPath(active_segment_);
+  lock->unlock();
+  const Status status = [&]() -> Status {
+    CHURNLAB_FAILPOINT("serve.journal.fsync");
+    return FsyncFd(fd, path);
+  }();
+  lock->lock();
+  sync.in_progress = false;
+  if (status.ok()) {
+    Metrics().rounds_per_fsync->Record(
+        static_cast<double>(frames - sync.synced_frames));
+    sync.synced_frames = frames;
+    PublishDurable(target);
+  } else {
+    sync.error = Status::DataLoss(
+        "journal fsync failed; refusing ingests until the server restarts "
+        "and recovers: " + status.message());
+    obs::LogEvent(LogLevel::kError, "journal_fail_stop", __FILE__, __LINE__)
+        .Str("segment", path)
+        .Uint("durable_sequence", durable_sequence())
+        .Str("reason", status.ToString());
+  }
+  sync.cv.notify_all();
+  return sync.error;
+}
+
+Status IngestJournal::sync_error() const {
+  std::lock_guard<std::mutex> lock(sync_->mutex);
+  return sync_->error;
+}
+
+void IngestJournal::PublishDurable(uint64_t end_sequence) {
+  sync_->durable.store(end_sequence, std::memory_order_release);
+  Metrics().durable_sequence->Set(static_cast<double>(end_sequence));
 }
 
 Status IngestJournal::WriteCheckpointRecord(uint64_t watermark,
@@ -421,11 +504,11 @@ Status IngestJournal::Checkpoint(uint64_t watermark,
   if (options_.read_only) {
     return Status::FailedPrecondition("journal is open read-only");
   }
-  if (watermark > next_sequence_) {
+  if (watermark > next_sequence()) {
     return Status::InvalidArgument(
         "checkpoint watermark " + std::to_string(watermark) +
         " is beyond the journal's next sequence " +
-        std::to_string(next_sequence_));
+        std::to_string(next_sequence()));
   }
   if (ref.kind == SnapshotRef::Kind::kNone && watermark > 0) {
     return Status::InvalidArgument(
@@ -443,7 +526,8 @@ Status IngestJournal::Checkpoint(uint64_t watermark,
   // Drop segments whose whole range is below the watermark: first rotate
   // away the active segment when it is fully covered (so the newest bytes
   // keep living in a fresh segment), then unlink covered sealed segments.
-  if (fd_ >= 0 && active_segment_has_frames_ && next_sequence_ <= watermark) {
+  if (fd_ >= 0 && active_segment_has_frames_ &&
+      next_sequence() <= watermark) {
     CHURNLAB_RETURN_NOT_OK(RotateSegment());
   }
   uint64_t unlinked = 0;
@@ -683,7 +767,14 @@ Result<IngestJournal> IngestJournal::Open(JournalOptions options,
   out->next_sequence = out->frames.empty()
                            ? std::max(out->watermark, running_next)
                            : out->frames.back().end_sequence();
-  journal.next_sequence_ = out->next_sequence;
+  journal.next_sequence_.store(out->next_sequence, std::memory_order_release);
+  // Frames found on disk count as durable: nothing appended since.
+  if (journal.options_.read_only) {
+    journal.sync_->durable.store(out->next_sequence,
+                                 std::memory_order_release);
+  } else {
+    journal.PublishDurable(out->next_sequence);
+  }
 
   if (!segments.empty()) {
     const SegmentFile& last = segments.back();

@@ -1,7 +1,11 @@
 #ifndef CHURNLAB_SERVE_JOURNAL_H_
 #define CHURNLAB_SERVE_JOURNAL_H_
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -43,10 +47,11 @@ enum class FsyncPolicy {
   /// fsync after every Append, before the append returns. An acknowledged
   /// batch survives power loss; highest latency.
   kAlways,
-  /// One fsync per coalesced round (IngestJournal::Sync), after the fleet
-  /// applied the round but before any of its responses are sent
-  /// ("batch-ack"): acknowledged receipts still never outlive a crash,
-  /// amortized over the whole round.
+  /// Group commit (IngestJournal::SyncThrough): a round waits, after the
+  /// fleet applied it and before any of its responses are sent, for one
+  /// fsync that covers its frame. One fsync covers every round appended
+  /// before it, so concurrent rounds share it ("batch-ack"): acknowledged
+  /// receipts still never outlive a crash.
   kBatch,
   /// Never fsync. Survives process death (the page cache is the kernel's)
   /// but not power loss. For tests and throughput benchmarks.
@@ -124,9 +129,20 @@ struct JournalRecovery {
 /// \brief Append-only, CRC-framed, generation-numbered write-ahead journal
 /// of coalesced ingest batches.
 ///
-/// Not thread-safe: the owner (net::FleetBackend) serializes Append / Sync
-/// / Checkpoint behind its operation mutex, which is also what makes the
-/// watermark exact — a checkpoint never races an append.
+/// The owner (net::FleetBackend) serializes Append / Sync / Checkpoint
+/// behind its operation mutex, which is also what makes the checkpoint
+/// watermark exact — a checkpoint never races an append. SyncThrough and
+/// durable_sequence are the exceptions: they are safe without that mutex,
+/// so a round can wait for its fsync while the next round appends.
+///
+/// Group commit: a sync mutex elects one fsync leader at a time. The
+/// leader captures the appended sequence and the active segment's
+/// descriptor, runs fsync with no lock held, then publishes the durable
+/// watermark; every waiter whose range it covers returns without an fsync
+/// of its own. The first fsync failure is sticky (fail-stop): after EIO the
+/// kernel may have dropped the dirty pages, so no later "successful" fsync
+/// proves anything. From then on every SyncThrough and Append fails with
+/// DataLoss until the process restarts and recovers.
 ///
 /// Failpoint sites (docs/ROBUSTNESS.md): serve.journal.append (key = the
 /// frame's first sequence; corrupt-bytes flips a bit of the on-disk frame
@@ -152,12 +168,24 @@ class IngestJournal {
   /// Appends one coalesced batch as a single frame. `first_sequence` must
   /// equal next_sequence() — the journal enforces the contiguity it later
   /// relies on during recovery. Durable on return under FsyncPolicy::kAlways.
+  /// After a failed fsync it fails with the sticky DataLoss, writing
+  /// nothing.
   Status Append(uint64_t first_sequence,
                 std::span<const retail::Receipt> receipts);
 
-  /// Flushes appended frames to stable storage (one fsync); no-op when
-  /// nothing was appended since the last flush or under FsyncPolicy::kNone.
+  /// Blocks until every frame below `end_sequence` is on stable storage,
+  /// running or joining one group fsync. Returns at once when the durable
+  /// watermark already covers `end_sequence` and under FsyncPolicy::kNone.
+  /// `end_sequence` must not exceed the appended sequence. Safe to call
+  /// without the owner's operation mutex.
+  Status SyncThrough(uint64_t end_sequence);
+
+  /// SyncThrough(next_sequence()): flushes everything appended so far.
   Status Sync();
+
+  /// The sticky fsync failure (DataLoss), or OK while the journal is
+  /// healthy. Safe to call without the owner's operation mutex.
+  Status sync_error() const;
 
   /// Records that every sequence below `watermark` is durably captured by
   /// the snapshot `ref` refers to, then drops journal segments that hold
@@ -168,7 +196,16 @@ class IngestJournal {
   Status Checkpoint(uint64_t watermark, const SnapshotRef& ref);
 
   /// Sequence number the next Append must carry.
-  uint64_t next_sequence() const { return next_sequence_; }
+  uint64_t next_sequence() const {
+    return next_sequence_.load(std::memory_order_acquire);
+  }
+
+  /// One past the last sequence known to be on stable storage (under
+  /// FsyncPolicy::kNone: one past the last appended sequence). Safe to
+  /// call without the owner's operation mutex.
+  uint64_t durable_sequence() const {
+    return sync_->durable.load(std::memory_order_acquire);
+  }
 
   const JournalOptions& options() const { return options_; }
 
@@ -182,25 +219,51 @@ class IngestJournal {
   std::string SegmentPath(uint64_t segment) const;
   Status OpenActiveSegment(uint64_t segment, uint64_t expected_size);
   Status RotateSegment();
+  /// Runs one group fsync as the leader. Called with `lock` (on
+  /// sync_->mutex) held and no fsync in progress; unlocks around the fsync.
+  Status LeadSync(std::unique_lock<std::mutex>* lock);
+  /// Advances the durable watermark and its gauge (sync_->mutex held).
+  void PublishDurable(uint64_t end_sequence);
   Status WriteCheckpointRecord(uint64_t watermark, const SnapshotRef& ref);
   Status SyncDirectory();
+
+  /// Group-commit state, shared between the appending owner and threads
+  /// waiting in SyncThrough. Heap-held so the journal stays movable.
+  struct SyncState {
+    std::mutex mutex;
+    std::condition_variable cv;
+    /// An fsync leader is running (guarded by mutex).
+    bool in_progress = false;
+    /// First fsync failure, as DataLoss; sticky (guarded by mutex).
+    Status error;
+    /// Frames appended / frames made durable, for rounds_per_fsync
+    /// (guarded by mutex).
+    uint64_t appended_frames = 0;
+    uint64_t synced_frames = 0;
+    std::atomic<uint64_t> durable{0};
+  };
 
   JournalOptions options_;
   /// Number of the active (newest) segment; 0 before the first append of a
   /// fresh journal (the first segment is seg-000000001).
   uint64_t active_segment_ = 0;
-  int fd_ = -1;      ///< append descriptor of the active segment
+  /// Append descriptor of the active segment. Replaced only by
+  /// RotateSegment with sync_->mutex held and no fsync in progress, so an
+  /// fsync leader's captured descriptor stays open.
+  int fd_ = -1;
   int dir_fd_ = -1;  ///< directory descriptor for durable renames/unlinks
   uint64_t active_segment_bytes_ = 0;
-  uint64_t next_sequence_ = 0;
+  /// Written by Append under sync_->mutex once the frame's bytes are
+  /// written, so an fsync leader never claims a frame it has not seen.
+  std::atomic<uint64_t> next_sequence_{0};
   bool active_segment_has_frames_ = false;
-  bool dirty_ = false;  ///< frames written since the last fsync
   /// Oldest segment still on disk (1-based; == active when only one).
   uint64_t oldest_segment_ = 0;
   /// End sequence (exclusive) of every retained, non-active segment, by
   /// segment number: Checkpoint unlinks a segment only when its whole
   /// range is below the watermark.
   std::vector<std::pair<uint64_t, uint64_t>> sealed_segment_ends_;
+  std::unique_ptr<SyncState> sync_ = std::make_unique<SyncState>();
 };
 
 }  // namespace serve

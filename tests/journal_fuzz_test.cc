@@ -6,6 +6,8 @@
 // clean DataLoss — never crash, hang, or silently skip an interior frame.
 // The suites run under ASan/UBSan and TSan via scripts/check_crash.sh.
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -46,7 +48,10 @@ std::vector<Receipt> PristineReceipts() {
 /// small segments, checkpointed at sequence 20.
 const std::string& PristineJournalDir() {
   static const std::string dir = [] {
-    const std::string path = testing::TempDir() + "/journal_fuzz_pristine";
+    // Per process: ctest runs each test case as its own process, in
+    // parallel, and they must not rebuild one shared directory.
+    const std::string path = testing::TempDir() + "/journal_fuzz_pristine_" +
+                             std::to_string(::getpid());
     std::filesystem::remove_all(path);
     JournalOptions options;
     options.directory = path;

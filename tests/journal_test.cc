@@ -7,14 +7,17 @@
 
 #include <sys/stat.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/binary_io.h"
+#include "common/failpoint.h"
 #include "serve/fleet.h"
 
 namespace churnlab {
@@ -245,6 +248,125 @@ std::string BareSnapshotOf(const ScoringFleet& fleet) {
   BinaryWriter writer;
   EXPECT_TRUE(fleet.SaveSnapshot(&writer).ok());
   return writer.buffer();
+}
+
+TEST(JournalGroupCommitTest, SyncThroughAdvancesTheDurableWatermark) {
+  JournalOptions options;
+  options.directory = FreshDir("journal_sync_through");
+  options.fsync = FsyncPolicy::kBatch;
+  auto journal = IngestJournal::Open(options).ValueOrDie();
+  EXPECT_EQ(journal.durable_sequence(), 0u);
+  ASSERT_TRUE(journal.Append(0, MakeReceipts(0, 3)).ok());
+  ASSERT_TRUE(journal.Append(3, MakeReceipts(3, 2)).ok());
+  // Appended, not yet durable under kBatch.
+  EXPECT_EQ(journal.durable_sequence(), 0u);
+  // One fsync covers every frame appended before it, not just the range
+  // asked for.
+  ASSERT_TRUE(journal.SyncThrough(3).ok());
+  EXPECT_EQ(journal.durable_sequence(), 5u);
+  ASSERT_TRUE(journal.SyncThrough(5).ok());  // already covered: no fsync
+  EXPECT_TRUE(journal.sync_error().ok());
+  // A range never appended cannot be made durable.
+  EXPECT_EQ(journal.SyncThrough(6).code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(journal.Append(5, MakeReceipts(5, 1)).ok());
+  ASSERT_TRUE(journal.Sync().ok());
+  EXPECT_EQ(journal.durable_sequence(), 6u);
+}
+
+TEST(JournalGroupCommitTest, PoliciesSetWhenAppendsBecomeDurable) {
+  JournalOptions options;
+  options.directory = FreshDir("journal_sync_always");
+  options.fsync = FsyncPolicy::kAlways;
+  auto always = IngestJournal::Open(options).ValueOrDie();
+  ASSERT_TRUE(always.Append(0, MakeReceipts(0, 2)).ok());
+  EXPECT_EQ(always.durable_sequence(), 2u);
+
+  options.directory = FreshDir("journal_sync_none");
+  options.fsync = FsyncPolicy::kNone;
+  auto none = IngestJournal::Open(options).ValueOrDie();
+  ASSERT_TRUE(none.Append(0, MakeReceipts(0, 2)).ok());
+  // Nothing to wait for under kNone: the page cache is the guarantee.
+  EXPECT_EQ(none.durable_sequence(), 2u);
+  EXPECT_TRUE(none.SyncThrough(2).ok());
+}
+
+TEST(JournalGroupCommitTest, RotationSealsUnsyncedFramesDurably) {
+  JournalOptions options;
+  options.directory = FreshDir("journal_sync_rotate");
+  options.fsync = FsyncPolicy::kBatch;
+  options.max_segment_bytes = 64;  // every frame rotates the next one out
+  auto journal = IngestJournal::Open(options).ValueOrDie();
+  ASSERT_TRUE(journal.Append(0, MakeReceipts(0, 4)).ok());
+  EXPECT_EQ(journal.durable_sequence(), 0u);
+  ASSERT_TRUE(journal.Append(4, MakeReceipts(4, 4)).ok());
+  // The first segment was sealed with an fsync before the second opened.
+  EXPECT_EQ(journal.durable_sequence(), 4u);
+  ASSERT_TRUE(journal.Sync().ok());
+  EXPECT_EQ(journal.durable_sequence(), 8u);
+}
+
+TEST(JournalGroupCommitTest, ConcurrentWaitersReturnOnlyOnceDurable) {
+  JournalOptions options;
+  options.directory = FreshDir("journal_sync_concurrent");
+  options.fsync = FsyncPolicy::kBatch;
+  auto journal = IngestJournal::Open(options).ValueOrDie();
+  // One appender (the owner) and waiters syncing behind it, without the
+  // appender's lock: every waiter returns only once its range is durable.
+  constexpr uint64_t kFrames = 200;
+  std::atomic<uint64_t> appended{0};
+  std::vector<std::thread> waiters;
+  std::atomic<int> violations{0};
+  for (int w = 0; w < 4; ++w) {
+    waiters.emplace_back([&] {
+      for (;;) {
+        const uint64_t end = appended.load();
+        if (end > 0) {
+          const Status synced = journal.SyncThrough(end);
+          EXPECT_TRUE(synced.ok()) << synced.ToString();
+          if (journal.durable_sequence() < end) violations.fetch_add(1);
+        }
+        if (end == kFrames * 2) break;
+        std::this_thread::yield();
+      }
+    });
+  }
+  for (uint64_t frame = 0; frame < kFrames; ++frame) {
+    ASSERT_TRUE(journal.Append(frame * 2, MakeReceipts(frame * 2, 2)).ok());
+    appended.store(frame * 2 + 2);
+  }
+  for (std::thread& waiter : waiters) waiter.join();
+  EXPECT_EQ(violations.load(), 0);
+  EXPECT_EQ(journal.durable_sequence(), kFrames * 2);
+}
+
+TEST(JournalGroupCommitTest, FailedFsyncIsStickyAndRefusesAppends) {
+  FailpointRegistry::Global().DisarmAll();
+  JournalOptions options;
+  options.directory = FreshDir("journal_sync_fail_stop");
+  options.fsync = FsyncPolicy::kBatch;
+  auto journal = IngestJournal::Open(options).ValueOrDie();
+  ASSERT_TRUE(journal.Append(0, MakeReceipts(0, 2)).ok());
+  ASSERT_TRUE(
+      FailpointRegistry::Global().ArmFromSpec("serve.journal.fsync=error")
+          .ok());
+  const Status failed = journal.SyncThrough(2);
+  FailpointRegistry::Global().DisarmAll();
+  EXPECT_EQ(failed.code(), StatusCode::kDataLoss) << failed.ToString();
+  EXPECT_EQ(journal.durable_sequence(), 0u);
+  // The failpoint is disarmed, yet nothing succeeds any more: a later
+  // fsync cannot vouch for pages the kernel may have dropped.
+  EXPECT_EQ(journal.SyncThrough(2).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(journal.Sync().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(journal.Append(2, MakeReceipts(2, 1)).code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(journal.next_sequence(), 2u);
+  EXPECT_EQ(journal.sync_error().code(), StatusCode::kDataLoss);
+  // Recovery of what reached the disk is still clean.
+  journal.Close();
+  options.recover = true;
+  JournalRecovery recovery;
+  ASSERT_TRUE(IngestJournal::Open(options, &recovery).ok());
+  EXPECT_EQ(recovery.next_sequence, 2u);
 }
 
 TEST(JournalRecoveryTest, ReplayReproducesUninterruptedStateByteForByte) {

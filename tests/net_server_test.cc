@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
 #include <chrono>
 #include <csignal>
@@ -20,6 +21,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -30,6 +32,7 @@
 #include "common/binary_io.h"
 #include "common/failpoint.h"
 #include "net/backend.h"
+#include "obs/metrics.h"
 #include "serve/fleet.h"
 #include "serve/journal.h"
 
@@ -631,6 +634,149 @@ TEST(HttpServerTest, JournaledIngestRecoversServerStateByteForByte) {
   server.reset();
   std::filesystem::remove_all(dir);
   std::remove(snapshot_path.c_str());
+}
+
+/// A started HttpServer over a fleet journaled with FsyncPolicy::kBatch in
+/// a fresh directory under the test temp dir.
+class JournaledTestServer {
+ public:
+  explicit JournaledTestServer(const std::string& name)
+      : dir_(::testing::TempDir() + "/" + name),
+        snapshot_path_(dir_ + "/state.snap"),
+        fleet_(serve::ScoringFleet::Make(ServerFleetOptions(), nullptr)
+                   .ValueOrDie()) {
+    std::filesystem::remove_all(dir_);
+    serve::JournalOptions journal_options;
+    journal_options.directory = dir_ + "/journal";
+    journal_options.fsync = serve::FsyncPolicy::kBatch;
+    journal_ = std::make_unique<serve::IngestJournal>(
+        serve::IngestJournal::Open(journal_options).ValueOrDie());
+    FleetBackend::Options backend_options;
+    backend_options.snapshot_path = snapshot_path_;
+    backend_options.journal = journal_.get();
+    backend_ = std::make_unique<FleetBackend>(&fleet_, backend_options);
+    ServerOptions options;
+    options.port = 0;
+    server_ = HttpServer::Make(options, backend_.get()).ValueOrDie();
+    const Status started = server_->Start();
+    EXPECT_TRUE(started.ok()) << started.ToString();
+  }
+  ~JournaledTestServer() {
+    if (server_ != nullptr) (void)server_->Shutdown();
+    server_.reset();
+    backend_.reset();
+    journal_.reset();
+    std::filesystem::remove_all(dir_);
+  }
+
+  uint16_t port() const { return server_->port(); }
+  serve::IngestJournal& journal() { return *journal_; }
+
+ private:
+  std::string dir_;
+  std::string snapshot_path_;
+  serve::ScoringFleet fleet_;
+  std::unique_ptr<serve::IngestJournal> journal_;
+  std::unique_ptr<FleetBackend> backend_;
+  std::unique_ptr<HttpServer> server_;
+};
+
+// Fail-stop: after a failed fsync the kernel may have dropped the dirty
+// pages, so nothing is acknowledged again — the round whose fsync failed,
+// every later ingest (refused before it reaches the journal) and the
+// health check all report DataLoss as HTTP 500.
+TEST(HttpServerTest, FailedJournalFsyncStopsAcknowledgingIngests) {
+  FailpointRegistry::Global().DisarmAll();
+  ASSERT_TRUE(FailpointRegistry::Global()
+                  .ArmFromSpec("serve.journal.fsync=error@nth(2)")
+                  .ok());
+  {
+    JournaledTestServer server("net_server_fail_stop");
+    const HttpReply first =
+        Call(server.port(), "POST", "/v1/ingest",
+             IngestBody({MakeReceipt(1, 1, {1}), MakeReceipt(2, 1, {2})}));
+    EXPECT_EQ(first.status, 200) << first.body;
+    EXPECT_EQ(server.journal().durable_sequence(), 2u);
+
+    const HttpReply second = Call(server.port(), "POST", "/v1/ingest",
+                                  IngestBody({MakeReceipt(3, 2, {1})}));
+    EXPECT_EQ(second.status, 500) << second.body;
+    EXPECT_NE(second.body.find("Data loss"), std::string::npos)
+        << second.body;
+    // Appended and applied, never made durable, never acknowledged.
+    EXPECT_EQ(server.journal().next_sequence(), 3u);
+    EXPECT_EQ(server.journal().durable_sequence(), 2u);
+
+    const HttpReply third = Call(server.port(), "POST", "/v1/ingest",
+                                 IngestBody({MakeReceipt(4, 3, {1})}));
+    EXPECT_EQ(third.status, 500) << third.body;
+    EXPECT_NE(third.body.find("Data loss"), std::string::npos) << third.body;
+    EXPECT_EQ(server.journal().next_sequence(), 3u)
+        << "an ingest after the failed fsync reached the journal";
+
+    const HttpReply health = Call(server.port(), "GET", "/v1/health");
+    EXPECT_EQ(health.status, 500) << health.body;
+    EXPECT_NE(health.body.find("fsync"), std::string::npos) << health.body;
+  }
+  FailpointRegistry::Global().DisarmAll();
+}
+
+// Two clients against a journaled server: every receipt is acknowledged,
+// the group-commit metrics are exported, and the durable watermark ends at
+// the journal's next sequence.
+TEST(HttpServerTest, TwoClientJournaledRunExportsGroupCommitMetrics) {
+  FailpointRegistry::Global().DisarmAll();
+  obs::Histogram* rounds_per_fsync =
+      obs::MetricsRegistry::Global().GetHistogram(
+          "churnlab.journal.rounds_per_fsync");
+  const obs::HistogramSnapshot before = rounds_per_fsync->Snapshot();
+  JournaledTestServer server("net_server_group_commit");
+  constexpr int kClients = 2;
+  constexpr int kRequests = 60;
+  constexpr int kReceipts = 64;
+  std::vector<std::thread> clients;
+  std::atomic<int> acked{0};
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      ClientConnection connection(server.port());
+      ASSERT_TRUE(connection.connected());
+      for (int r = 0; r < kRequests; ++r) {
+        std::vector<Receipt> receipts;
+        for (int i = 0; i < kReceipts; ++i) {
+          receipts.push_back(MakeReceipt(
+              static_cast<CustomerId>(c * 1000 + i), r, {1, 2}));
+        }
+        ASSERT_TRUE(connection.SendAll(RawRequest(
+            "POST", "/v1/ingest", IngestBody(receipts), false)));
+        const HttpReply reply = connection.ReadReply();
+        ASSERT_EQ(reply.status, 200) << reply.body;
+        acked.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  ASSERT_EQ(acked.load(), kClients * kRequests);
+  const uint64_t total = uint64_t{kClients} * kRequests * kReceipts;
+  EXPECT_EQ(server.journal().next_sequence(), total);
+  EXPECT_EQ(server.journal().durable_sequence(), total);
+
+  const HttpReply metrics = Call(server.port(), "GET", "/metrics");
+  ASSERT_EQ(metrics.status, 200);
+  EXPECT_NE(metrics.body.find("churnlab_journal_rounds_per_fsync_count"),
+            std::string::npos);
+  EXPECT_NE(metrics.body.find("churnlab_journal_durable_sequence " +
+                              std::to_string(total)),
+            std::string::npos)
+      << metrics.body;
+  const obs::HistogramSnapshot after = rounds_per_fsync->Snapshot();
+  const uint64_t fsyncs = after.count - before.count;
+  const double rounds = after.sum - before.sum;
+  ASSERT_GT(fsyncs, 0u);
+  // Every round is covered by exactly one fsync.
+  EXPECT_LE(rounds, static_cast<double>(kClients * kRequests));
+  std::printf("rounds per fsync over a 2-client run: %.2f (%llu fsyncs)\n",
+              rounds / static_cast<double>(fsyncs),
+              static_cast<unsigned long long>(fsyncs));
 }
 
 // A second termination signal during a drain means NOW: the process exits

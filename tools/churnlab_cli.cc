@@ -11,7 +11,8 @@
 //   gridsearch    5-fold CV search over (window span, alpha)
 //   serve-replay  replay a dataset through the sharded scoring fleet
 //   serve-http    run the HTTP/1.1 scoring front end over a fleet
-//   flood         stream a dataset into a running serve-http sequentially
+//   flood         stream a dataset into a running serve-http, in day order
+//                 over one connection or split by customer over several
 //
 // Datasets are addressed by path: `x.clb` loads the binary format, any
 // other value is treated as a CSV prefix (x.receipts.csv / x.taxonomy.csv /
@@ -31,7 +32,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
+#include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "churnlab.h"
@@ -649,7 +653,8 @@ Status RunServeHttp(int argc, const char* const* argv) {
                    &journal);
   parser.AddString("journal-fsync", "batch",
                    "journal durability: always (fsync per append), batch "
-                   "(one fsync per coalesced round, before acks), none "
+                   "(group commit: a round's acks wait for an fsync that "
+                   "covers it, shared by overlapping rounds), none "
                    "(page cache only)",
                    &journal_fsync);
   parser.AddBool("recover", false,
@@ -812,7 +817,7 @@ Status RunServeHttp(int argc, const char* const* argv) {
 }
 
 // ---------------------------------------------------------------------------
-// flood: sequential HTTP ingest client (the chaos harness's load source)
+// flood: HTTP ingest client (the chaos harness's load source)
 // ---------------------------------------------------------------------------
 
 /// Minimal blocking HTTP/1.1 client over one keep-alive connection. Only
@@ -916,16 +921,105 @@ class FloodConnection {
   std::string buffer_;
 };
 
+/// One POST /v1/ingest body for `receipts`.
+std::string RenderIngestBody(std::span<const api::Receipt> receipts) {
+  std::string body = "{\"receipts\":[";
+  for (size_t i = 0; i < receipts.size(); ++i) {
+    const api::Receipt& receipt = receipts[i];
+    if (i > 0) body += ',';
+    // %.17g round-trips every finite double exactly: the server must
+    // parse the same spend bits the offline oracle reads from the
+    // dataset, or recovered-vs-oracle snapshots would differ.
+    char spend[40];
+    std::snprintf(spend, sizeof(spend), "%.17g", receipt.spend);
+    body += "{\"customer\":" + std::to_string(receipt.customer) +
+            ",\"day\":" + std::to_string(receipt.day) + ",\"spend\":" +
+            spend + ",\"items\":[";
+    for (size_t j = 0; j < receipt.items.size(); ++j) {
+      if (j > 0) body += ',';
+      body += std::to_string(receipt.items[j]);
+    }
+    body += "]}";
+  }
+  body += "]}";
+  return body;
+}
+
+/// Acknowledged-request log shared by a flood's connections: one line per
+/// ack, written only after the server's 200 was read and flushed at once,
+/// so the file never claims an ack the client did not observe.
+class AckLog {
+ public:
+  explicit AckLog(std::FILE* file) : file_(file) {}
+
+  void Record(uint64_t sequence, size_t count) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const uint64_t end = sequence + count;
+    max_end_ = std::max(max_end_, end);
+    ++requests_;
+    sent_ += count;
+    if (file_ != nullptr) {
+      std::fprintf(file_, "ack seq=%llu count=%zu end=%llu\n",
+                   static_cast<unsigned long long>(sequence), count,
+                   static_cast<unsigned long long>(end));
+      std::fflush(file_);
+    }
+  }
+
+  uint64_t max_end() const { return max_end_; }
+  size_t requests() const { return requests_; }
+  size_t sent() const { return sent_; }
+
+ private:
+  std::mutex mutex_;
+  std::FILE* file_;
+  uint64_t max_end_ = 0;
+  size_t requests_ = 0;
+  size_t sent_ = 0;
+};
+
+/// Sends `receipts` in order over one keep-alive connection, at most
+/// `request_receipts` per request, logging each ack.
+Status FloodOneConnection(const std::string& host, uint16_t port,
+                          std::span<const api::Receipt> receipts,
+                          size_t request_receipts, AckLog* acks) {
+  FloodConnection connection;
+  CHURNLAB_RETURN_NOT_OK(connection.Connect(host, port));
+  for (size_t sent = 0; sent < receipts.size();) {
+    const size_t count = std::min(request_receipts, receipts.size() - sent);
+    CHURNLAB_ASSIGN_OR_RETURN(
+        const std::string response,
+        connection.Post("/v1/ingest",
+                        RenderIngestBody(receipts.subspan(sent, count))));
+    // The ingest reply's "sequence" field numbers the request's first
+    // receipt; log it only AFTER the server acknowledged (journaled,
+    // applied and durable) so the acks file never over-claims across a
+    // crash.
+    const size_t marker = response.find("\"sequence\":");
+    if (marker == std::string::npos) {
+      return Status::Internal("ingest reply lacks a sequence field: " +
+                              response);
+    }
+    const auto sequence = static_cast<uint64_t>(std::atoll(
+        response.c_str() + marker + std::strlen("\"sequence\":")));
+    acks->Record(sequence, count);
+    sent += count;
+  }
+  return Status::OK();
+}
+
 Status RunFlood(int argc, const char* const* argv) {
   FlagParser parser(
       "churnlab flood: stream a dataset's receipts into a running "
-      "serve-http instance over one connection, in the same day-ordered "
-      "sequence serve-replay uses — so the Nth receipt sent carries "
-      "arrival sequence number N and `serve-replay --limit-receipts N` is "
-      "its offline oracle. Acknowledged sequences are appended to "
-      "--acks-out as they return, making the log crash-accurate.");
+      "serve-http instance in the same day-ordered sequence serve-replay "
+      "uses. Over one connection the Nth receipt sent carries arrival "
+      "sequence number N, so `serve-replay --limit-receipts N` is its "
+      "offline oracle; with --connections K, connection k sends the "
+      "customers with id % K == k, in day order, concurrently. "
+      "Acknowledged sequences are appended to --acks-out as they return, "
+      "making the log crash-accurate.");
   std::string data, host, acks_out;
-  int64_t port, request_receipts, limit_receipts;
+  int64_t port, request_receipts, limit_receipts, connections;
   parser.AddString("data", "", "dataset path (.clb) or CSV prefix", &data);
   parser.AddString("host", "127.0.0.1", "server IPv4 address", &host);
   parser.AddInt64("port", 8080, "server TCP port", &port);
@@ -934,6 +1028,10 @@ Status RunFlood(int argc, const char* const* argv) {
   parser.AddInt64("limit-receipts", -1,
                   "send only the first N receipts of the day-ordered "
                   "stream (-1 = all)", &limit_receipts);
+  parser.AddInt64("connections", 1,
+                  "concurrent connections; connection k owns the customers "
+                  "with id % connections == k",
+                  &connections);
   parser.AddString("acks-out", "",
                    "append one 'ack seq=S count=N end=E' line per "
                    "acknowledged request (flushed immediately; empty "
@@ -949,6 +1047,9 @@ Status RunFlood(int argc, const char* const* argv) {
   if (limit_receipts < -1) {
     return Status::InvalidArgument("--limit-receipts must be >= -1");
   }
+  if (connections <= 0 || connections > 1024) {
+    return Status::InvalidArgument("--connections must be in [1, 1024]");
+  }
   CHURNLAB_ASSIGN_OR_RETURN(const api::Dataset dataset, LoadDataset(data));
 
   // The same day-ordered stream serve-replay builds, so sequence numbers
@@ -963,79 +1064,46 @@ Status RunFlood(int argc, const char* const* argv) {
       static_cast<size_t>(limit_receipts) < replay.size()) {
     replay.resize(static_cast<size_t>(limit_receipts));
   }
+  // Connection k's share keeps the stream's day order.
+  const auto num_connections = static_cast<size_t>(connections);
+  std::vector<std::vector<api::Receipt>> shares(num_connections);
+  for (const api::Receipt& receipt : replay) {
+    shares[receipt.customer % num_connections].push_back(receipt);
+  }
 
-  std::FILE* acks = nullptr;
+  std::FILE* acks_file = nullptr;
   if (!acks_out.empty()) {
-    acks = std::fopen(acks_out.c_str(), "a");
-    if (acks == nullptr) {
+    acks_file = std::fopen(acks_out.c_str(), "a");
+    if (acks_file == nullptr) {
       return Status::IOError("cannot open --acks-out " + acks_out + ": " +
                              std::strerror(errno));
     }
   }
-  FloodConnection connection;
-  Status status = connection.Connect(host, static_cast<uint16_t>(port));
-  size_t sent = 0, requests = 0;
-  uint64_t acked_end = 0;
-  while (status.ok() && sent < replay.size()) {
-    const size_t count = std::min(static_cast<size_t>(request_receipts),
-                                  replay.size() - sent);
-    std::string body = "{\"receipts\":[";
-    for (size_t i = 0; i < count; ++i) {
-      const api::Receipt& receipt = replay[sent + i];
-      if (i > 0) body += ',';
-      // %.17g round-trips every finite double exactly: the server must
-      // parse the same spend bits the offline oracle reads from the
-      // dataset, or recovered-vs-oracle snapshots would differ.
-      char spend[40];
-      std::snprintf(spend, sizeof(spend), "%.17g", receipt.spend);
-      body += "{\"customer\":" + std::to_string(receipt.customer) +
-              ",\"day\":" + std::to_string(receipt.day) +
-              ",\"spend\":" + spend +
-              ",\"items\":[";
-      for (size_t j = 0; j < receipt.items.size(); ++j) {
-        if (j > 0) body += ',';
-        body += std::to_string(receipt.items[j]);
-      }
-      body += "]}";
-    }
-    body += "]}";
-    Result<std::string> response = connection.Post("/v1/ingest", body);
-    if (!response.ok()) {
-      status = response.status();
-      break;
-    }
-    // The ingest reply's "sequence" field numbers the request's first
-    // receipt; log it only AFTER the server acknowledged (journaled +
-    // applied) so the acks file never over-claims across a crash.
-    uint64_t sequence = 0;
-    const size_t marker = response->find("\"sequence\":");
-    if (marker == std::string::npos) {
-      status = Status::Internal("ingest reply lacks a sequence field: " +
-                                *response);
-      break;
-    }
-    sequence = static_cast<uint64_t>(std::atoll(
-        response->c_str() + marker + std::strlen("\"sequence\":")));
-    acked_end = sequence + count;
-    if (acks != nullptr) {
-      std::fprintf(acks, "ack seq=%llu count=%zu end=%llu\n",
-                   static_cast<unsigned long long>(sequence), count,
-                   static_cast<unsigned long long>(acked_end));
-      std::fflush(acks);
-    }
-    sent += count;
-    ++requests;
+  AckLog acks(acks_file);
+  std::vector<Status> statuses(num_connections);
+  std::vector<std::thread> threads;
+  threads.reserve(num_connections);
+  for (size_t k = 0; k < num_connections; ++k) {
+    threads.emplace_back([&, k] {
+      statuses[k] = FloodOneConnection(
+          host, static_cast<uint16_t>(port), shares[k],
+          static_cast<size_t>(request_receipts), &acks);
+    });
   }
-  if (acks != nullptr) std::fclose(acks);
-  if (!status.ok()) {
-    return status.WithContext("flood stopped after " +
-                              std::to_string(requests) +
-                              " acknowledged requests (acked-sequence-end " +
-                              std::to_string(acked_end) + ")");
+  for (std::thread& thread : threads) thread.join();
+  if (acks_file != nullptr) std::fclose(acks_file);
+  for (const Status& status : statuses) {
+    if (!status.ok()) {
+      return status.WithContext(
+          "flood stopped after " + std::to_string(acks.requests()) +
+          " acknowledged requests (acked-sequence-end " +
+          std::to_string(acks.max_end()) + ")");
+    }
   }
   std::printf("flooded %zu receipts in %zu requests, "
               "acked-sequence-end=%llu\n",
-              sent, requests, static_cast<unsigned long long>(acked_end));
+              acks.sent(), acks.requests(),
+              static_cast<unsigned long long>(acks.max_end()));
   return Status::OK();
 }
 
