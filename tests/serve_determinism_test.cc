@@ -8,9 +8,13 @@
 //   4. Fleet alerts match a per-customer replay through raw
 //      core::StabilityMonitor instances (the fleet adds sharding and
 //      batching, never different math).
+//   5. A store's shard snapshot frame is the customer count followed by
+//      id + StabilityMonitor::SaveState per customer in slot order, and
+//      loading that frame continues like the raw monitors do.
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <span>
 #include <string>
 #include <tuple>
@@ -287,6 +291,143 @@ TEST(ServeDeterminism, FleetMatchesPerCustomerMonitorReplay) {
   }
 
   EXPECT_EQ(Keys(fleet_alerts), Keys(reference_alerts));
+}
+
+// One customer's alerts in canonical text form (see FormatAlerts).
+std::string FormatCustomerAlerts(
+    CustomerId customer, const std::vector<core::StabilityAlert>& alerts) {
+  std::vector<FleetAlert> attributed;
+  for (const core::StabilityAlert& alert : alerts) {
+    attributed.push_back(FleetAlert{customer, 0, alert});
+  }
+  return FormatAlerts(attributed);
+}
+
+// Raw per-customer monitors plus the slot order a store must hold them in.
+struct MonitorOracle {
+  std::map<CustomerId, core::StabilityMonitor> monitors;
+  std::vector<std::vector<CustomerId>> slots;  // per shard, creation order
+
+  // The frame SaveShardState must write: count, then id + SaveState.
+  std::string ShardFrame(size_t shard) const {
+    BinaryWriter writer;
+    writer.WriteVarint(slots[shard].size());
+    for (const CustomerId customer : slots[shard]) {
+      writer.WriteVarint(customer);
+      monitors.at(customer).SaveState(&writer);
+    }
+    return writer.buffer();
+  }
+};
+
+std::string StoreShardFrame(const CustomerStateStore& store, size_t shard) {
+  BinaryWriter writer;
+  store.SaveShardState(shard, &writer);
+  return writer.buffer();
+}
+
+TEST(ServeDeterminism, StoreShardFramesAreMonitorSaveStateInSlotOrder) {
+  const retail::Dataset& dataset = TestDataset();
+  const FleetOptions fleet_options = TestOptions(/*num_threads=*/1,
+                                                 /*num_shards=*/4);
+  StateStoreOptions options;
+  options.scorer = fleet_options.scorer;
+  options.policy = fleet_options.policy;
+  options.num_shards = fleet_options.num_shards;
+  auto store = CustomerStateStore::Make(options).ValueOrDie();
+  const auto mapper = core::SymbolMapper::Make(fleet_options.granularity,
+                                               &dataset.taxonomy())
+                          .ValueOrDie();
+  MonitorOracle oracle;
+  oracle.slots.resize(store.num_shards());
+
+  // Every third customer stops inside its first window before the frame
+  // is taken; the rest stop ten months in.
+  const Day first_window_end = options.scorer.window_span_days;
+  const auto cut_day = [&](CustomerId customer) {
+    return customer % 3 == 0 ? first_window_end / 2
+                             : 10 * retail::kDaysPerMonth;
+  };
+  std::vector<core::Symbol> symbols;
+  const auto feed = [&](CustomerStateStore* target, const Receipt& receipt) {
+    symbols.clear();
+    for (const retail::ItemId item : receipt.items) {
+      symbols.push_back(mapper.Map(item));
+    }
+    std::sort(symbols.begin(), symbols.end());
+    symbols.erase(std::unique(symbols.begin(), symbols.end()),
+                  symbols.end());
+    const size_t shard = target->ShardOf(receipt.customer);
+    auto [it, fresh] = oracle.monitors.try_emplace(
+        receipt.customer,
+        core::StabilityMonitor::Make(options.scorer, options.policy)
+            .ValueOrDie());
+    if (fresh) oracle.slots[shard].push_back(receipt.customer);
+    const std::string expected = FormatCustomerAlerts(
+        receipt.customer,
+        it->second.Observe(receipt.day, symbols).ValueOrDie());
+    const std::string actual = target->WithShard(
+        shard, [&](CustomerStateStore::ShardAccessor& access) {
+          return FormatCustomerAlerts(
+              receipt.customer, access.GetOrCreate(receipt.customer)
+                                    .Observe(receipt.day, symbols)
+                                    .ValueOrDie());
+        });
+    EXPECT_EQ(actual, expected) << "customer " << receipt.customer;
+  };
+
+  for (const Receipt& receipt : ReplayStream()) {
+    if (receipt.day < cut_day(receipt.customer)) feed(&store, receipt);
+  }
+  size_t inside_first_window = 0;
+  for (size_t shard = 0; shard < store.num_shards(); ++shard) {
+    EXPECT_EQ(StoreShardFrame(store, shard), oracle.ShardFrame(shard))
+        << "shard " << shard;
+    store.WithShard(shard, [&](CustomerStateStore::ShardAccessor& access) {
+      ASSERT_EQ(access.size(), oracle.slots[shard].size());
+      for (size_t slot = 0; slot < access.size(); ++slot) {
+        const CustomerId customer = oracle.slots[shard][slot];
+        EXPECT_EQ(access.CustomerAt(slot), customer);
+        const core::StabilityMonitor& monitor = oracle.monitors.at(customer);
+        EXPECT_EQ(access.At(slot).last_stability(), monitor.last_stability())
+            << "customer " << customer;
+        if (monitor.windows_closed() == 0) {
+          ++inside_first_window;
+          EXPECT_EQ(access.At(slot).last_stability(), 1.0)
+              << "customer " << customer;
+        }
+      }
+    });
+  }
+  EXPECT_GT(inside_first_window, 0u);
+  EXPECT_LT(inside_first_window, oracle.monitors.size());
+
+  // Load the oracle's frames into a fresh store and continue both sides.
+  auto loaded = CustomerStateStore::Make(options).ValueOrDie();
+  for (size_t shard = 0; shard < loaded.num_shards(); ++shard) {
+    BinaryReader reader(oracle.ShardFrame(shard));
+    ASSERT_TRUE(loaded.LoadShardState(shard, &reader).ok())
+        << "shard " << shard;
+    EXPECT_TRUE(reader.AtEnd()) << "shard " << shard;
+  }
+  for (const Receipt& receipt : ReplayStream()) {
+    if (receipt.day >= cut_day(receipt.customer)) feed(&loaded, receipt);
+  }
+  for (size_t shard = 0; shard < loaded.num_shards(); ++shard) {
+    loaded.WithShard(shard, [&](CustomerStateStore::ShardAccessor& access) {
+      for (size_t slot = 0; slot < access.size(); ++slot) {
+        const CustomerId customer = access.CustomerAt(slot);
+        EXPECT_EQ(
+            FormatCustomerAlerts(customer,
+                                 access.At(slot).Finish().ValueOrDie()),
+            FormatCustomerAlerts(
+                customer,
+                oracle.monitors.at(customer).Finish().ValueOrDie()));
+      }
+    });
+    EXPECT_EQ(StoreShardFrame(loaded, shard), oracle.ShardFrame(shard))
+        << "shard " << shard;
+  }
 }
 
 }  // namespace
