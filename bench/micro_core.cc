@@ -5,11 +5,11 @@
 #include <benchmark/benchmark.h>
 
 #include "common/random.h"
-#include "core/significance_reference.h"
 #include "core/stability.h"
 #include "core/stability_model.h"
 #include "core/window.h"
 #include "datagen/scenario.h"
+#include "support/significance_reference.h"
 
 namespace churnlab {
 namespace {

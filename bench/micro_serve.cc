@@ -199,16 +199,11 @@ void BM_StateStoreGetOrCreate(benchmark::State& state) {
 }
 BENCHMARK(BM_StateStoreGetOrCreate);
 
-// Byte-accounting A/B: the same synthetic population held in the compact
-// (SoA + arena) layout vs the per-customer heap layout, at two scales.
+// Byte accounting of the same synthetic population at two scales.
 // Iterations(1): the payload is the bytes counters, not wall time.
 void BM_FleetMemory(benchmark::State& state) {
-  const serve::StateLayout layout = state.range(0) == 0
-                                        ? serve::StateLayout::kCompact
-                                        : serve::StateLayout::kHeap;
-  const size_t num_customers = static_cast<size_t>(state.range(1));
+  const size_t num_customers = static_cast<size_t>(state.range(0));
   serve::FleetOptions options = BenchOptions(64);
-  options.layout = layout;
   options.granularity = retail::Granularity::kProduct;
   serve::StateMemoryStats stats;
   for (auto _ : state) {
@@ -234,14 +229,10 @@ void BM_FleetMemory(benchmark::State& state) {
   state.counters["bytes_per_customer"] =
       static_cast<double>(stats.total_bytes) /
       static_cast<double>(stats.customers == 0 ? 1 : stats.customers);
-  state.counters["compact"] =
-      layout == serve::StateLayout::kCompact ? 1.0 : 0.0;
 }
 BENCHMARK(BM_FleetMemory)
-    ->Args({0, 1 << 14})
-    ->Args({1, 1 << 14})
-    ->Args({0, 1 << 20})
-    ->Args({1, 1 << 20})
+    ->Arg(1 << 14)
+    ->Arg(1 << 20)
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 

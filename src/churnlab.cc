@@ -86,26 +86,26 @@ Status FleetHandle::AppendSnapshot(const std::string& path) const {
 
 Result<FleetHandle> FleetHandle::Restore(const std::string& path,
                                          const Dataset& dataset,
-                                         size_t num_threads,
-                                         StateLayout layout) {
-  return OpenSnapshot(path, dataset, num_threads, layout);
+                                         size_t num_threads) {
+  FleetOptions runtime;
+  runtime.num_threads = num_threads;
+  return OpenSnapshot(path, dataset, runtime);
 }
 
 Result<FleetHandle> OpenSnapshot(const std::string& path,
-                                 const Dataset& dataset, size_t num_threads,
-                                 StateLayout layout) {
+                                 const Dataset& dataset,
+                                 const FleetOptions& runtime) {
   CHURNLAB_ASSIGN_OR_RETURN(
       serve::ScoringFleet fleet,
       serve::ScoringFleet::RestoreFromFile(path, &dataset.taxonomy(),
-                                           num_threads, layout));
+                                           runtime));
   return FleetHandle(std::move(fleet));
 }
 
 Result<RecoveredFleet> RecoverFleet(const std::string& journal_dir,
                                     const std::string& snapshot_path,
                                     FleetOptions fresh_options,
-                                    const Dataset& dataset,
-                                    size_t num_threads, StateLayout layout) {
+                                    const Dataset& dataset) {
   serve::JournalOptions journal_options;
   journal_options.directory = journal_dir;
   journal_options.recover = true;
@@ -116,9 +116,8 @@ Result<RecoveredFleet> RecoverFleet(const std::string& journal_dir,
       serve::IngestJournal::Open(journal_options, &recovery));
   CHURNLAB_ASSIGN_OR_RETURN(
       serve::ScoringFleet fleet,
-      serve::ScoringFleet::Recover(recovery, snapshot_path,
-                                   std::move(fresh_options),
-                                   &dataset.taxonomy(), num_threads, layout));
+      serve::ScoringFleet::Recover(recovery, snapshot_path, fresh_options,
+                                   &dataset.taxonomy()));
   recovery.frames.clear();
   recovery.frames.shrink_to_fit();
   return RecoveredFleet{FleetHandle(std::move(fleet)), std::move(recovery)};
@@ -147,7 +146,7 @@ Result<ServerHandle> ServerHandle::Recover(Options options,
                                            FleetOptions fleet_options,
                                            const Dataset& dataset,
                                            size_t num_threads,
-                                           StateLayout layout,
+                                           serve::StateLayout /*layout*/,
                                            JournalRecovery* recovery_out) {
   if (options.journal_dir.empty()) {
     return Status::InvalidArgument(
@@ -164,8 +163,8 @@ Result<ServerHandle> ServerHandle::Recover(Options options,
   CHURNLAB_ASSIGN_OR_RETURN(
       serve::ScoringFleet fleet,
       serve::ScoringFleet::Recover(recovery, options.snapshot_path,
-                                   std::move(fleet_options),
-                                   &dataset.taxonomy(), num_threads, layout));
+                                   fleet_options, &dataset.taxonomy(),
+                                   num_threads));
   recovery.frames.clear();
   recovery.frames.shrink_to_fit();
   if (recovery_out != nullptr) *recovery_out = recovery;

@@ -131,12 +131,9 @@ using serve::CustomerQuery;
 using serve::FleetAlert;
 using serve::FleetHealth;
 using serve::FleetOptions;
-using serve::ParseStateLayout;
 using serve::PoisonedShard;
 using serve::RejectedReceipt;
 using serve::ShardHealthStats;
-using serve::StateLayout;
-using serve::StateLayoutToString;
 using serve::StateMemoryStats;
 /// Durable ingest journal (docs/ROBUSTNESS.md §Durability): the
 /// write-ahead log the HTTP server appends every coalesced batch to
@@ -160,10 +157,6 @@ using churnlab::RetryPolicy;
 
 class FleetHandle;
 struct RecoveredFleet;
-Result<RecoveredFleet> RecoverFleet(
-    const std::string& journal_dir, const std::string& snapshot_path,
-    FleetOptions fresh_options, const Dataset& dataset, size_t num_threads,
-    StateLayout layout);
 
 /// \brief Streaming multi-customer serving: sharded per-customer state,
 /// batched ingestion, alerting, and bit-identical snapshot/restore.
@@ -224,26 +217,23 @@ class FleetHandle {
   Status AppendSnapshot(const std::string& path) const;
 
   /// Rebuilds a fleet from a snapshot; continues bit-identically.
-  /// Threads and the storage layout are never serialized; the restored
-  /// fleet uses `num_threads` workers (1 when 0) and `layout` storage,
-  /// with identical results for any choice of either.
-  static Result<FleetHandle> Restore(
-      const std::string& path, const Dataset& dataset,
-      size_t num_threads = 0, StateLayout layout = StateLayout::kCompact);
+  /// Threads are never serialized; the restored fleet uses `num_threads`
+  /// workers (1 when 0), with identical results for any choice, and the
+  /// default values of the other runtime options (see OpenSnapshot).
+  static Result<FleetHandle> Restore(const std::string& path,
+                                     const Dataset& dataset,
+                                     size_t num_threads = 0);
 
  private:
   friend class ServerHandle;
   friend Result<FleetHandle> OpenSnapshot(const std::string& path,
                                           const Dataset& dataset,
-                                          size_t num_threads,
-                                          StateLayout layout);
+                                          const FleetOptions& runtime);
   friend struct RecoveredFleet;
   friend Result<RecoveredFleet> RecoverFleet(const std::string& journal_dir,
                                              const std::string& snapshot_path,
                                              FleetOptions fresh_options,
-                                             const Dataset& dataset,
-                                             size_t num_threads,
-                                             StateLayout layout);
+                                             const Dataset& dataset);
 
   explicit FleetHandle(serve::ScoringFleet fleet)
       : fleet_(std::move(fleet)) {}
@@ -256,10 +246,12 @@ class FleetHandle {
 /// snapshots and append-mode "CHLFGENS" generation files, falls back to the
 /// newest valid generation on a torn or corrupted tail, and reports that
 /// fallback uniformly (the `snapshot_generation_fallback` structured event
-/// plus the `churnlab.serve.snapshot_fallbacks` counter).
-Result<FleetHandle> OpenSnapshot(
-    const std::string& path, const Dataset& dataset, size_t num_threads = 0,
-    StateLayout layout = StateLayout::kCompact);
+/// plus the `churnlab.serve.snapshot_fallbacks` counter). Scorer, policy,
+/// shard count and granularity come from the snapshot; the runtime options
+/// num_threads, quarantine_malformed and shard_retry come from `runtime`.
+Result<FleetHandle> OpenSnapshot(const std::string& path,
+                                 const Dataset& dataset,
+                                 const FleetOptions& runtime = {});
 
 /// A fleet rebuilt from a journal by RecoverFleet, plus the recovery
 /// summary (watermark, replayed frame/receipt counts, next sequence; the
@@ -271,17 +263,18 @@ struct RecoveredFleet {
 
 /// Read-only crash recovery for offline tools (`serve-replay --recover`):
 /// opens `journal_dir` without mutating it, restores the checkpointed
-/// snapshot generation from `snapshot_path` (or a fresh fleet built from
-/// `fresh_options` when no checkpoint was ever written), and replays every
+/// snapshot generation from `snapshot_path` with `fresh_options`' runtime
+/// options (see OpenSnapshot), or builds a fresh fleet from `fresh_options`
+/// when no checkpoint was ever written, and replays every
 /// journal frame above the durable watermark in arrival-sequence order.
 /// The result is byte-identical to the fleet the crashed server held after
 /// its last journaled batch. Torn trailing frames are discarded (counted
 /// in the recovery summary); any interior corruption or sequence gap is a
 /// hard DataLoss error, never a silent skip.
-Result<RecoveredFleet> RecoverFleet(
-    const std::string& journal_dir, const std::string& snapshot_path,
-    FleetOptions fresh_options, const Dataset& dataset,
-    size_t num_threads = 0, StateLayout layout = StateLayout::kCompact);
+Result<RecoveredFleet> RecoverFleet(const std::string& journal_dir,
+                                    const std::string& snapshot_path,
+                                    FleetOptions fresh_options,
+                                    const Dataset& dataset);
 
 // ---------------------------------------------------------------------------
 // Network serving
@@ -338,11 +331,14 @@ class ServerHandle {
   /// watermark (see RecoverFleet), and returns a server whose arrival
   /// sequence numbering continues where the crashed process stopped.
   /// `fleet_options` seeds a fresh fleet when no checkpoint was written
-  /// before the crash. When `recovery_out` is non-null it receives the
-  /// recovery summary (frames released).
+  /// before the crash, and supplies the runtime options of a restored one.
+  /// A non-zero `num_threads` overrides fleet_options.num_threads; `layout`
+  /// is ignored (see serve::StateLayout). When `recovery_out` is non-null
+  /// it receives the recovery summary (frames released).
   static Result<ServerHandle> Recover(
       Options options, FleetOptions fleet_options, const Dataset& dataset,
-      size_t num_threads = 0, StateLayout layout = StateLayout::kCompact,
+      size_t num_threads = 0,
+      serve::StateLayout layout = serve::StateLayout::kCompact,
       JournalRecovery* recovery_out = nullptr);
 
   /// Binds, listens, and starts serving (returns immediately).

@@ -85,10 +85,5 @@ void StabilityMonitor::SaveState(BinaryWriter* writer) const {
       const_cast<StabilityMonitor*>(this)->state_, writer);
 }
 
-Status StabilityMonitor::LoadState(BinaryReader* reader) {
-  CHURNLAB_RETURN_NOT_OK(scorer_.LoadState(reader));
-  return kernel::MonitorTailLoadState(state_, policy_, reader);
-}
-
 }  // namespace core
 }  // namespace churnlab

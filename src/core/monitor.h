@@ -48,7 +48,8 @@ struct StabilityAlert {
 ///
 /// The policy evaluation lives in the shared kernels of
 /// core/state_kernel.h, instantiated here over the nested State struct;
-/// the serving layer's compact layout instantiates the same kernels.
+/// the serving layer's state store instantiates the same kernels over its
+/// shard columns.
 ///
 /// \code
 ///   auto monitor = StabilityMonitor::Make(scorer_options, policy)
@@ -62,8 +63,8 @@ struct StabilityAlert {
 /// \endcode
 class StabilityMonitor {
  public:
-  /// Heap-layout storage behind the shared kernels: the MonitorState
-  /// concept of state_kernel.h over plain members.
+  /// This monitor's own storage behind the shared kernels: the
+  /// MonitorState concept of state_kernel.h over plain members.
   struct State {
     double last_stability = 1.0;
     uint8_t has_previous = 0;
@@ -97,18 +98,11 @@ class StabilityMonitor {
   int32_t windows_closed() const { return scorer_.windows_emitted(); }
   const MonitorPolicy& policy() const { return policy_; }
 
-  /// Heap bytes held behind this monitor (scorer plus tracker storage and
-  /// power tables), excluding sizeof(*this).
-  size_t MemoryUsage() const { return scorer_.MemoryUsage(); }
-
-  /// Serializes scorer + debounce state so a restored monitor continues
-  /// bit-identically (same alerts for the same future stream). Options and
-  /// policy are not written; the caller persists them.
+  /// Serializes scorer + debounce state: the per-customer record of a
+  /// fleet snapshot, which the serving layer's state store loads and
+  /// continues bit-identically (same alerts for the same future stream).
+  /// Options and policy are not written; the caller persists them.
   void SaveState(BinaryWriter* writer) const;
-
-  /// Restores state written by SaveState. The monitor must have been
-  /// constructed with the same options and policy as the saver.
-  Status LoadState(BinaryReader* reader);
 
  private:
   StabilityMonitor(OnlineStabilityScorer scorer, MonitorPolicy policy)

@@ -11,7 +11,7 @@ namespace core {
 namespace kernel {
 
 // Definitions of the shared observability hooks declared in
-// state_kernel.h: one metric family regardless of storage layout.
+// state_kernel.h: one metric family whichever state the kernels run over.
 
 obs::Counter* ObservationsCounter() {
   static obs::Counter* const counter =
@@ -91,19 +91,10 @@ Result<StabilityPoint> OnlineStabilityScorer::Finish() {
                               tracker_.pows());
 }
 
-size_t OnlineStabilityScorer::MemoryUsage() const {
-  return tracker_.MemoryUsage() +
-         state_.current_symbols.capacity() * sizeof(Symbol);
-}
-
 void OnlineStabilityScorer::SaveState(BinaryWriter* writer) const {
   kernel::ScorerSaveState(
       const_cast<OnlineStabilityScorer*>(this)->tracker_.state(),
       MutableState(), writer);
-}
-
-Status OnlineStabilityScorer::LoadState(BinaryReader* reader) {
-  return kernel::ScorerLoadState(tracker_.state(), state_, reader);
 }
 
 }  // namespace core

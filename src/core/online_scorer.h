@@ -25,7 +25,8 @@ namespace core {
 ///
 /// The streaming logic lives in the shared kernels of
 /// core/state_kernel.h, instantiated here over the nested State struct;
-/// the serving layer's compact layout instantiates the same kernels.
+/// the serving layer's state store instantiates the same kernels over its
+/// shard columns.
 ///
 /// \code
 ///   OnlineStabilityScorer scorer =
@@ -48,7 +49,7 @@ class OnlineStabilityScorer {
     retail::Day origin_day = 0;
   };
 
-  /// Heap-layout storage behind the shared kernels: the ScorerState
+  /// This scorer's own storage behind the shared kernels: the ScorerState
   /// concept of state_kernel.h over plain members.
   struct State {
     std::vector<Symbol> current_symbols;  // kept sorted + deduplicated
@@ -101,18 +102,11 @@ class OnlineStabilityScorer {
   /// Number of windows already emitted.
   int32_t windows_emitted() const { return tracker_.windows_seen(); }
 
-  /// Heap bytes held behind this scorer (tracker plus the in-progress
-  /// window's symbol union), excluding sizeof(*this).
-  size_t MemoryUsage() const;
-
   /// Serializes the streaming state (tracker counters, the in-progress
-  /// window's symbol union, stream position) so a restored scorer continues
-  /// bit-identically. Options are not written; the caller persists them.
+  /// window's symbol union, stream position) in the format the serving
+  /// layer's state store loads. Options are not written; the caller
+  /// persists them.
   void SaveState(BinaryWriter* writer) const;
-
-  /// Restores state written by SaveState. The scorer must have been
-  /// constructed with the same options as the saver.
-  Status LoadState(BinaryReader* reader);
 
  private:
   explicit OnlineStabilityScorer(Options options)

@@ -67,14 +67,6 @@ void SignificanceTracker::AdvanceWindow(
                         std::span<const Symbol>(window_symbols));
 }
 
-size_t SignificanceTracker::MemoryUsage() const {
-  return state_.contain_counts.capacity() * sizeof(int32_t) +
-         state_.contain_histogram.capacity() * sizeof(uint32_t) +
-         state_.ewma_values.capacity() * sizeof(double) +
-         state_.ewma_stamps.capacity() * sizeof(int32_t) +
-         pows_.MemoryUsage();
-}
-
 void SignificanceTracker::SaveState(BinaryWriter* writer) const {
   kernel::TrackerSaveState(MutableState(), writer);
 }

@@ -77,12 +77,14 @@ struct SignificanceOptions {
 /// dense ids produced by SymbolMapper), and alpha powers are served from a
 /// memoised PowCache filled with the same ClampedPow the scan-based oracle
 /// uses, so per-symbol significances agree bit-for-bit with
-/// ReferenceSignificanceTracker (see significance_reference.h).
+/// ReferenceSignificanceTracker, the test oracle in
+/// tests/support/significance_reference.h.
 ///
 /// The math itself lives in the storage-agnostic kernels of
 /// core/state_kernel.h, instantiated here over the nested State struct of
-/// plain vectors; the serving layer instantiates the same kernels over its
-/// compact SoA/arena layout, which keeps the two layouts bit-identical.
+/// plain vectors; the serving layer's state store instantiates the same
+/// kernels over its SoA columns and arena blocks, which keeps a stored
+/// customer bit-identical to a StabilityMonitor.
 ///
 /// Not thread-safe — including const accessors, which lazily extend the
 /// memoised power tables. Use one tracker per thread.
@@ -91,8 +93,9 @@ struct SignificanceOptions {
 /// windows 0..k-1), then call `AdvanceWindow(u_k)`.
 class SignificanceTracker {
  public:
-  /// Heap-layout storage behind the shared kernels: plain members plus the
-  /// accessor surface the TrackerState concept expects (state_kernel.h).
+  /// This tracker's own storage behind the shared kernels: plain members
+  /// plus the accessor surface the TrackerState concept expects
+  /// (state_kernel.h).
   struct State {
     int32_t windows_seen = 0;
     /// Number of symbols with c > 0.
@@ -183,10 +186,6 @@ class SignificanceTracker {
 
   const SignificanceOptions& options() const { return options_; }
 
-  /// Heap bytes held behind this tracker (vector capacities plus the
-  /// memoised power tables), excluding sizeof(*this).
-  size_t MemoryUsage() const;
-
   /// Raw storage access for kernel instantiation by the streaming layers
   /// (OnlineStabilityScorer, the serving layer's equivalence tests).
   State& state() { return state_; }
@@ -208,8 +207,8 @@ class SignificanceTracker {
   Status LoadState(BinaryReader* reader);
 
  private:
-  /// Query kernels take a mutable state (the compact layout has no const
-  /// refs); the heap members they touch never change on queries, and the
+  /// Query kernels take a mutable state (the state store's refs have no
+  /// const form); the members they touch never change on queries, and the
   /// power tables are mutable by design.
   State& MutableState() const {
     return const_cast<SignificanceTracker*>(this)->state_;

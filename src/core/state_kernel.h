@@ -22,17 +22,19 @@ namespace core {
 /// OnlineStabilityScorer, and StabilityMonitor.
 ///
 /// The math of the three classes is written once here as templates over a
-/// *state* parameter, so the exact same code runs against two layouts:
+/// *state* parameter, so the exact same code runs in two places:
 ///
-///  - the heap layout: each class's nested `State` struct of plain members
-///    and std::vectors (one instance per customer);
-///  - the serving layer's compact layout: SoA scalar columns plus
-///    arena-backed blocks, viewed through lightweight ref types
+///  - the single-customer classes themselves: each class's nested `State`
+///    struct of plain members and std::vectors. The batch pipeline
+///    (StabilityComputer, explanations) runs SignificanceTracker this way;
+///  - the serving layer's state store: SoA scalar columns plus
+///    arena-backed blocks per shard, viewed through lightweight ref types
 ///    (serve/state_store.cc).
 ///
-/// Identical code paths is what makes the two layouts byte-identical — in
-/// emitted alerts and in serialized snapshots — by construction rather
-/// than by parallel maintenance.
+/// Identical code paths is what makes a stored customer byte-identical to
+/// a StabilityMonitor fed the same stream — in emitted alerts and in
+/// serialized state — by construction rather than by parallel
+/// maintenance.
 ///
 /// State concepts (duck-typed; no formal `concept` so the refs stay
 /// minimal):
@@ -54,7 +56,7 @@ namespace core {
 namespace kernel {
 
 /// Shared observability hooks, defined in online_scorer.cc / monitor.cc so
-/// both storage layouts feed the same metric families.
+/// both instantiations feed the same metric families.
 void RecordEmittedWindows(size_t count);
 obs::Counter* ObservationsCounter();
 obs::Histogram* ObserveLatencyHistogram();

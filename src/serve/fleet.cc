@@ -179,7 +179,6 @@ Result<ScoringFleet> ScoringFleet::Make(FleetOptions options,
   store_options.scorer = options.scorer;
   store_options.policy = options.policy;
   store_options.num_shards = options.num_shards;
-  store_options.layout = options.layout;
   CHURNLAB_ASSIGN_OR_RETURN(CustomerStateStore store,
                             CustomerStateStore::Make(store_options));
   return ScoringFleet(std::move(options), std::move(store),
@@ -626,8 +625,7 @@ Result<SnapshotRef> ScoringFleet::SaveSnapshotWithRef(
 
 Result<ScoringFleet> ScoringFleet::Restore(BinaryReader* reader,
                                            const retail::Taxonomy* taxonomy,
-                                           size_t num_threads,
-                                           StateLayout layout) {
+                                           const FleetOptions& runtime) {
   CHURNLAB_SPAN("serve.restore_snapshot");
   static Failpoint* const read_frame_failpoint =
       FailpointRegistry::Global().Get("serve.snapshot.read_frame");
@@ -640,7 +638,11 @@ Result<ScoringFleet> ScoringFleet::Restore(BinaryReader* reader,
   if (version != kSnapshotVersion) {
     return Status::IOError("unsupported fleet snapshot version");
   }
+  // Runtime options come from the caller; everything else from the header.
   FleetOptions options;
+  options.num_threads = runtime.num_threads;
+  options.quarantine_malformed = runtime.quarantine_malformed;
+  options.shard_retry = runtime.shard_retry;
   CHURNLAB_RETURN_NOT_OK(ReadScorerOptions(reader, &options.scorer));
   CHURNLAB_RETURN_NOT_OK(ReadPolicy(reader, &options.policy));
   CHURNLAB_ASSIGN_OR_RETURN(const uint64_t num_shards, reader->ReadVarint());
@@ -653,9 +655,7 @@ Result<ScoringFleet> ScoringFleet::Restore(BinaryReader* reader,
     return Status::IOError("fleet snapshot holds an unknown granularity");
   }
   options.num_shards = num_shards;
-  options.num_threads = num_threads > 0 ? num_threads : 1;
   options.granularity = static_cast<retail::Granularity>(granularity);
-  options.layout = layout;
 
   CHURNLAB_ASSIGN_OR_RETURN(ScoringFleet fleet, Make(options, taxonomy));
   for (size_t shard = 0; shard < fleet.store_.num_shards(); ++shard) {
@@ -739,7 +739,7 @@ Result<CustomerQuery> ScoringFleet::QueryCustomer(
 
 Result<ScoringFleet> ScoringFleet::RestoreFromFile(
     const std::string& path, const retail::Taxonomy* taxonomy,
-    size_t num_threads, StateLayout layout) {
+    const FleetOptions& runtime) {
   CHURNLAB_ASSIGN_OR_RETURN(BinaryReader reader,
                             BinaryReader::OpenFile(path));
   if (reader.remaining() < kSnapshotMagicSize) {
@@ -751,7 +751,7 @@ Result<ScoringFleet> ScoringFleet::RestoreFromFile(
     // Bare snapshot: re-open so Restore sees the magic it expects.
     CHURNLAB_ASSIGN_OR_RETURN(BinaryReader bare,
                               BinaryReader::OpenFile(path));
-    return Restore(&bare, taxonomy, num_threads, layout);
+    return Restore(&bare, taxonomy, runtime);
   }
 
   // Generation file: scan frames, keep the newest whose CRC verifies. A
@@ -816,7 +816,7 @@ Result<ScoringFleet> ScoringFleet::RestoreFromFile(
     Metrics().snapshot_fallbacks->Increment();
   }
   BinaryReader newest_reader(std::move(newest));
-  return Restore(&newest_reader, taxonomy, num_threads, layout);
+  return Restore(&newest_reader, taxonomy, runtime);
 }
 
 namespace {
@@ -882,8 +882,10 @@ Result<std::string> LoadSnapshotByRef(const std::string& path,
 Result<ScoringFleet> ScoringFleet::Recover(
     const JournalRecovery& recovery, const std::string& snapshot_path,
     const FleetOptions& fresh_options, const retail::Taxonomy* taxonomy,
-    size_t num_threads, StateLayout layout) {
+    size_t num_threads, StateLayout /*layout*/) {
   CHURNLAB_SPAN("serve.recover");
+  FleetOptions options = fresh_options;
+  if (num_threads > 0) options.num_threads = num_threads;
   Result<ScoringFleet> base = [&]() -> Result<ScoringFleet> {
     if (recovery.snapshot.kind == SnapshotRef::Kind::kNone) {
       if (recovery.watermark != 0) {
@@ -892,9 +894,6 @@ Result<ScoringFleet> ScoringFleet::Recover(
             std::to_string(recovery.watermark) +
             " but references no snapshot");
       }
-      FleetOptions options = fresh_options;
-      if (num_threads > 0) options.num_threads = num_threads;
-      options.layout = layout;
       return Make(options, taxonomy);
     }
     if (snapshot_path.empty()) {
@@ -906,7 +905,7 @@ Result<ScoringFleet> ScoringFleet::Recover(
         std::string payload,
         LoadSnapshotByRef(snapshot_path, recovery.snapshot));
     BinaryReader snapshot(std::move(payload));
-    return Restore(&snapshot, taxonomy, num_threads, layout);
+    return Restore(&snapshot, taxonomy, options);
   }();
   if (!base.ok()) {
     return base.status().WithContext("recovering fleet base state");

@@ -22,6 +22,13 @@
 namespace churnlab {
 namespace serve {
 
+/// Kept only for the end-to-end benchmark, which still names
+/// FleetOptions::layout and passes it to the two Recover functions that
+/// take a StateLayout. Customer state has one layout; the value is
+/// ignored. All three go away with the benchmark change that deletes its
+/// TimedBackend.
+enum class StateLayout : uint8_t { kCompact = 0 };
+
 struct FleetOptions {
   core::OnlineStabilityScorer::Options scorer;
   core::MonitorPolicy policy;
@@ -34,9 +41,7 @@ struct FleetOptions {
   /// Symbol space the monitors observe (the paper's experiments run at
   /// segment granularity).
   retail::Granularity granularity = retail::Granularity::kSegment;
-  /// In-memory representation of per-customer state (see StateLayout).
-  /// Runtime-only, like num_threads: never serialized, and alerts plus
-  /// snapshot bytes are identical across layouts.
+  /// Unused (see StateLayout).
   StateLayout layout = StateLayout::kCompact;
   /// Graceful degradation (docs/ROBUSTNESS.md): when true, malformed
   /// receipts (invalid customer id, stream-contract violations such as a
@@ -262,22 +267,21 @@ class ScoringFleet {
   /// the snapshot's identity for a journal checkpoint.
   Result<SnapshotRef> SaveSnapshotWithRef(const std::string& path) const;
 
-  /// Rebuilds a fleet from a snapshot. Options are read from the snapshot
-  /// header; `taxonomy` is borrowed as in Make. Threads and the storage
-  /// layout are pure runtime concerns and are never serialized: the
-  /// restored fleet uses `num_threads` workers (1 when 0) and `layout`
-  /// storage, with identical results either way — a snapshot written by
-  /// one layout restores into the other bit-identically.
-  static Result<ScoringFleet> Restore(
-      BinaryReader* reader, const retail::Taxonomy* taxonomy,
-      size_t num_threads = 0, StateLayout layout = StateLayout::kCompact);
+  /// Rebuilds a fleet from a snapshot; `taxonomy` is borrowed as in Make.
+  /// Scorer, policy, shard count and granularity are read from the
+  /// snapshot header. The runtime options, which are never serialized,
+  /// come from `runtime`: num_threads (1 when 0), quarantine_malformed and
+  /// shard_retry. Results are identical for any thread count.
+  static Result<ScoringFleet> Restore(BinaryReader* reader,
+                                      const retail::Taxonomy* taxonomy,
+                                      const FleetOptions& runtime = {});
   /// Restores from a bare snapshot ("CHLFLEET") or an append-mode
   /// generation file ("CHLFGENS"). For generation files the newest valid
   /// generation wins; a torn or corrupted tail is skipped with a
   /// structured warning and counts on churnlab.serve.snapshot_fallbacks.
   static Result<ScoringFleet> RestoreFromFile(
       const std::string& path, const retail::Taxonomy* taxonomy,
-      size_t num_threads = 0, StateLayout layout = StateLayout::kCompact);
+      const FleetOptions& runtime = {});
 
   /// Crash recovery (docs/ROBUSTNESS.md §Durability): rebuilds the fleet a
   /// crashed server would have reached, from the journal scan `recovery`
@@ -285,8 +289,10 @@ class ScoringFleet {
   ///
   /// The base state is the snapshot `recovery.snapshot` names — the exact
   /// generation of `snapshot_path` whose size and CRC match (DataLoss when
-  /// absent), or a fresh fleet built from `fresh_options` when the journal
-  /// was never checkpointed against a snapshot. Journal frames are then
+  /// absent), restored with `fresh_options`' runtime options (see Restore),
+  /// or a fresh fleet built from `fresh_options` when the journal was never
+  /// checkpointed against a snapshot. A non-zero `num_threads` overrides
+  /// fresh_options.num_threads; `layout` is ignored. Journal frames are then
   /// replayed through IngestBatch in sequence order, reproducing the
   /// pre-crash state byte-for-byte (arrival sequence fully determines
   /// fleet state; coalesced batch boundaries do not).

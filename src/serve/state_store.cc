@@ -15,21 +15,10 @@
 namespace churnlab {
 namespace serve {
 
-std::string_view StateLayoutToString(StateLayout layout) {
-  return layout == StateLayout::kCompact ? "compact" : "heap";
-}
-
-Result<StateLayout> ParseStateLayout(std::string_view text) {
-  if (text == "compact") return StateLayout::kCompact;
-  if (text == "heap") return StateLayout::kHeap;
-  return Status::InvalidArgument("unknown state layout '" + std::string(text) +
-                                 "' (expected compact|heap)");
-}
-
 namespace {
 
 // ---------------------------------------------------------------------------
-// Compact layout: SoA scalar columns + arena-backed variable-size blocks.
+// Customer storage: SoA scalar columns + arena-backed variable-size blocks.
 // ---------------------------------------------------------------------------
 
 /// One variable-size array carved from the shard arena. `size` is the
@@ -134,8 +123,8 @@ struct CompactColumns {
     ForEachColumn([n](auto& column) { column.reserve(n); });
   }
 
-  /// Freshly-constructed per-customer defaults, matching the heap layout's
-  /// member initializers.
+  /// Freshly-constructed per-customer defaults, matching the member
+  /// initializers of StabilityMonitor's nested State structs.
   void AppendDefault(retail::CustomerId id) {
     customer.push_back(id);
     windows_seen.push_back(0);
@@ -179,8 +168,8 @@ struct CompactStorage {
 
 // Lightweight views satisfying the state concepts of core/state_kernel.h
 // over CompactStorage. The kernels they instantiate are the very same that
-// run inside StabilityMonitor, which is what makes the two layouts
-// byte-identical by construction.
+// run inside StabilityMonitor, which is what keeps a stored customer's
+// alerts and snapshot bytes identical to a StabilityMonitor's.
 
 class CompactTrackerRef {
  public:
@@ -295,8 +284,7 @@ size_t IndexMemoryUsage(
 }  // namespace
 
 /// One shard. Heap-allocated (the mutex is immovable) so the store itself
-/// stays movable, which Result<CustomerStateStore> requires. Exactly one of
-/// `slab` / `compact` is populated, per StateStoreOptions::layout.
+/// stays movable, which Result<CustomerStateStore> requires.
 struct Shard {
   explicit Shard(const StateStoreOptions& options)
       : pows(options.scorer.significance.alpha,
@@ -305,30 +293,16 @@ struct Shard {
 
   mutable std::mutex mutex;
   std::unordered_map<retail::CustomerId, uint32_t> index;
-  /// kHeap: one monitor object per slot, insertion-ordered.
-  std::vector<CustomerStateStore::CustomerState> slab;
-  /// kCompact: SoA columns + arena blocks.
+  /// SoA columns + arena blocks, one slot per customer in creation order.
   CompactStorage compact;
-  /// Interned power tables shared by every compact customer in the shard
-  /// (heap monitors carry their own). Guarded by `mutex` like the rest.
+  /// Interned power tables shared by every customer in the shard. Guarded
+  /// by `mutex` like the rest.
   core::PowCache pows;
 };
 
-namespace {
-
-size_t ShardSize(const Shard& shard, StateLayout layout) {
-  return layout == StateLayout::kCompact ? shard.compact.cols.size()
-                                         : shard.slab.size();
-}
-
-}  // namespace
-
 CustomerStateStore::CustomerStateStore(
-    StateStoreOptions options, core::StabilityMonitor prototype,
-    std::vector<std::unique_ptr<Shard>> shards)
-    : options_(std::move(options)),
-      prototype_(std::move(prototype)),
-      shards_(std::move(shards)) {}
+    StateStoreOptions options, std::vector<std::unique_ptr<Shard>> shards)
+    : options_(std::move(options)), shards_(std::move(shards)) {}
 
 CustomerStateStore::~CustomerStateStore() = default;
 CustomerStateStore::CustomerStateStore(CustomerStateStore&&) noexcept =
@@ -341,16 +315,14 @@ Result<CustomerStateStore> CustomerStateStore::Make(
   if (options.num_shards == 0) {
     return Status::InvalidArgument("num_shards must be >= 1");
   }
-  CHURNLAB_ASSIGN_OR_RETURN(
-      core::StabilityMonitor prototype,
-      core::StabilityMonitor::Make(options.scorer, options.policy));
+  CHURNLAB_RETURN_NOT_OK(
+      core::StabilityMonitor::Make(options.scorer, options.policy).status());
   std::vector<std::unique_ptr<Shard>> shards;
   shards.reserve(options.num_shards);
   for (size_t i = 0; i < options.num_shards; ++i) {
     shards.push_back(std::make_unique<Shard>(options));
   }
-  return CustomerStateStore(std::move(options), std::move(prototype),
-                            std::move(shards));
+  return CustomerStateStore(std::move(options), std::move(shards));
 }
 
 std::mutex& CustomerStateStore::ShardMutex(size_t shard) const {
@@ -359,14 +331,14 @@ std::mutex& CustomerStateStore::ShardMutex(size_t shard) const {
 
 size_t CustomerStateStore::ShardCustomers(size_t shard) const {
   std::lock_guard<std::mutex> lock(shards_[shard]->mutex);
-  return ShardSize(*shards_[shard], options_.layout);
+  return shards_[shard]->compact.cols.size();
 }
 
 size_t CustomerStateStore::NumCustomers() const {
   size_t total = 0;
   for (const std::unique_ptr<Shard>& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
-    total += ShardSize(*shard, options_.layout);
+    total += shard->compact.cols.size();
   }
   return total;
 }
@@ -376,18 +348,12 @@ size_t CustomerStateStore::NumCustomers() const {
 // --------------------------------------------------------------------------
 
 retail::CustomerId CustomerStateStore::CustomerRef::customer() const {
-  if (store_->options_.layout == StateLayout::kCompact) {
-    return shard_->compact.cols.customer[slot_];
-  }
-  return shard_->slab[slot_].customer;
+  return shard_->compact.cols.customer[slot_];
 }
 
 Result<std::vector<core::StabilityAlert>>
 CustomerStateStore::CustomerRef::Observe(
     retail::Day day, const std::vector<core::Symbol>& symbols) {
-  if (store_->options_.layout == StateLayout::kHeap) {
-    return shard_->slab[slot_].monitor.Observe(day, symbols);
-  }
   CompactTrackerRef ts(&shard_->compact, slot_);
   CompactScorerRef ss(&shard_->compact, slot_);
   CompactMonitorRef ms(&shard_->compact, slot_);
@@ -398,9 +364,6 @@ CustomerStateStore::CustomerRef::Observe(
 
 Result<std::vector<core::StabilityAlert>>
 CustomerStateStore::CustomerRef::AdvanceTo(retail::Day day) {
-  if (store_->options_.layout == StateLayout::kHeap) {
-    return shard_->slab[slot_].monitor.AdvanceTo(day);
-  }
   CompactTrackerRef ts(&shard_->compact, slot_);
   CompactScorerRef ss(&shard_->compact, slot_);
   CompactMonitorRef ms(&shard_->compact, slot_);
@@ -411,9 +374,6 @@ CustomerStateStore::CustomerRef::AdvanceTo(retail::Day day) {
 
 Result<std::vector<core::StabilityAlert>>
 CustomerStateStore::CustomerRef::Finish() {
-  if (store_->options_.layout == StateLayout::kHeap) {
-    return shard_->slab[slot_].monitor.Finish();
-  }
   CompactTrackerRef ts(&shard_->compact, slot_);
   CompactScorerRef ss(&shard_->compact, slot_);
   CompactMonitorRef ms(&shard_->compact, slot_);
@@ -422,19 +382,12 @@ CustomerStateStore::CustomerRef::Finish() {
 }
 
 double CustomerStateStore::CustomerRef::last_stability() const {
-  if (store_->options_.layout == StateLayout::kCompact) {
-    return shard_->compact.cols.last_stability[slot_];
-  }
-  return shard_->slab[slot_].monitor.last_stability();
+  return shard_->compact.cols.last_stability[slot_];
 }
 
 size_t CustomerStateStore::CustomerRef::MemoryUsage() const {
-  if (store_->options_.layout == StateLayout::kCompact) {
-    return kCompactScalarBytesPerSlot + sizeof(BlockSet) +
-           shard_->compact.blocks[slot_].CapacityBytes();
-  }
-  const CustomerState& state = shard_->slab[slot_];
-  return sizeof(CustomerState) + state.monitor.MemoryUsage();
+  return kCompactScalarBytesPerSlot + sizeof(BlockSet) +
+         shard_->compact.blocks[slot_].CapacityBytes();
 }
 
 // --------------------------------------------------------------------------
@@ -449,15 +402,12 @@ CustomerStateStore::ShardAccessor::GetOrCreate(retail::CustomerId customer) {
     return CustomerRef(store_, &shard, it->second);
   }
   // First touch. Storage is appended first and the index entry published
-  // last, with full rollback if any step throws (monitor copy, column
-  // push_back, index rehash), so the shard never ends up with an index
-  // entry pointing at a slot that was never built — the pre-compact code
-  // inserted into the index first and a throwing monitor copy left a
-  // dangling slot behind.
+  // last, with full rollback if any step throws (column push_back, index
+  // rehash), so the shard never ends up with an index entry pointing at a
+  // slot that was never built.
   static Failpoint* const create_failpoint =
       FailpointRegistry::Global().Get("serve.state.create");
-  const bool compact = store_->options_.layout == StateLayout::kCompact;
-  const size_t slot = ShardSize(shard, store_->options_.layout);
+  const size_t slot = shard.compact.cols.size();
   try {
     if (create_failpoint->armed()) {
       // Creation has no Status channel, so the *error* action surfaces as
@@ -466,18 +416,12 @@ CustomerStateStore::ShardAccessor::GetOrCreate(retail::CustomerId customer) {
         throw FailpointException("serve.state.create");
       }
     }
-    if (compact) {
-      shard.compact.cols.AppendDefault(customer);
-      shard.compact.blocks.emplace_back();
-    } else {
-      shard.slab.emplace_back(customer,
-                              core::StabilityMonitor(store_->prototype_));
-    }
+    shard.compact.cols.AppendDefault(customer);
+    shard.compact.blocks.emplace_back();
     shard.index.emplace(customer, static_cast<uint32_t>(slot));
   } catch (...) {
     shard.compact.cols.Rollback(slot);
     if (shard.compact.blocks.size() > slot) shard.compact.blocks.pop_back();
-    if (shard.slab.size() > slot) shard.slab.pop_back();
     shard.index.erase(customer);
     throw;
   }
@@ -496,16 +440,12 @@ CustomerStateStore::ShardAccessor::Find(retail::CustomerId customer) {
 }
 
 size_t CustomerStateStore::ShardAccessor::size() const {
-  return ShardSize(*store_->shards_[shard_index_], store_->options_.layout);
+  return store_->shards_[shard_index_]->compact.cols.size();
 }
 
 retail::CustomerId CustomerStateStore::ShardAccessor::CustomerAt(
     size_t slot) const {
-  const Shard& shard = *store_->shards_[shard_index_];
-  if (store_->options_.layout == StateLayout::kCompact) {
-    return shard.compact.cols.customer[slot];
-  }
-  return shard.slab[slot].customer;
+  return store_->shards_[shard_index_]->compact.cols.customer[slot];
 }
 
 CustomerStateStore::CustomerRef CustomerStateStore::ShardAccessor::At(
@@ -521,21 +461,13 @@ void CustomerStateStore::SaveShardState(size_t shard,
                                         BinaryWriter* writer) const {
   Shard& s = *shards_[shard];
   std::lock_guard<std::mutex> lock(s.mutex);
-  if (options_.layout == StateLayout::kCompact) {
-    writer->WriteVarint(s.compact.cols.size());
-    for (size_t slot = 0; slot < s.compact.cols.size(); ++slot) {
-      writer->WriteVarint(s.compact.cols.customer[slot]);
-      CompactTrackerRef ts(&s.compact, slot);
-      CompactScorerRef ss(&s.compact, slot);
-      CompactMonitorRef ms(&s.compact, slot);
-      core::kernel::MonitorSaveState(ts, ss, ms, writer);
-    }
-    return;
-  }
-  writer->WriteVarint(s.slab.size());
-  for (const CustomerState& state : s.slab) {
-    writer->WriteVarint(state.customer);
-    state.monitor.SaveState(writer);
+  writer->WriteVarint(s.compact.cols.size());
+  for (size_t slot = 0; slot < s.compact.cols.size(); ++slot) {
+    writer->WriteVarint(s.compact.cols.customer[slot]);
+    CompactTrackerRef ts(&s.compact, slot);
+    CompactScorerRef ss(&s.compact, slot);
+    CompactMonitorRef ms(&s.compact, slot);
+    core::kernel::MonitorSaveState(ts, ss, ms, writer);
   }
 }
 
@@ -545,10 +477,8 @@ Status CustomerStateStore::LoadShardState(size_t shard,
   std::lock_guard<std::mutex> lock(s.mutex);
   // All-or-nothing: parse into scratch storage and swap it in only once the
   // whole frame decoded, so a corrupt record cannot leave the shard
-  // half-replaced (the pre-compact code cleared the shard up front and
-  // returned mid-loop, stranding a partial load).
+  // half-replaced.
   std::unordered_map<retail::CustomerId, uint32_t> index;
-  std::vector<CustomerState> slab;
   CompactStorage compact;
   CHURNLAB_ASSIGN_OR_RETURN(const uint64_t count, reader->ReadVarint());
   // The count is an untrusted length prefix: every customer needs at least
@@ -560,14 +490,9 @@ Status CustomerStateStore::LoadShardState(size_t shard,
         ") exceeds remaining snapshot bytes (" +
         std::to_string(reader->remaining()) + ")");
   }
-  const bool is_compact = options_.layout == StateLayout::kCompact;
   index.reserve(count);
-  if (is_compact) {
-    compact.cols.Reserve(count);
-    compact.blocks.reserve(count);
-  } else {
-    slab.reserve(count);
-  }
+  compact.cols.Reserve(count);
+  compact.blocks.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     CHURNLAB_ASSIGN_OR_RETURN(const uint64_t id, reader->ReadVarint());
     if (id >= retail::kInvalidCustomer) {
@@ -582,22 +507,15 @@ Status CustomerStateStore::LoadShardState(size_t shard,
     if (!index.try_emplace(customer, static_cast<uint32_t>(i)).second) {
       return Status::IOError("snapshot shard repeats a customer id");
     }
-    if (is_compact) {
-      compact.cols.AppendDefault(customer);
-      compact.blocks.emplace_back();
-      CompactTrackerRef ts(&compact, i);
-      CompactScorerRef ss(&compact, i);
-      CompactMonitorRef ms(&compact, i);
-      CHURNLAB_RETURN_NOT_OK(
-          core::kernel::MonitorLoadState(ts, ss, ms, options_.policy,
-                                         reader));
-    } else {
-      slab.emplace_back(customer, core::StabilityMonitor(prototype_));
-      CHURNLAB_RETURN_NOT_OK(slab.back().monitor.LoadState(reader));
-    }
+    compact.cols.AppendDefault(customer);
+    compact.blocks.emplace_back();
+    CompactTrackerRef ts(&compact, i);
+    CompactScorerRef ss(&compact, i);
+    CompactMonitorRef ms(&compact, i);
+    CHURNLAB_RETURN_NOT_OK(
+        core::kernel::MonitorLoadState(ts, ss, ms, options_.policy, reader));
   }
   s.index = std::move(index);
-  s.slab = std::move(slab);
   s.compact = std::move(compact);
   return Status::OK();
 }
@@ -607,20 +525,12 @@ StateMemoryStats CustomerStateStore::ShardMemoryUsage(size_t shard) const {
   std::lock_guard<std::mutex> lock(s.mutex);
   StateMemoryStats stats;
   stats.index_bytes = IndexMemoryUsage(s.index);
-  if (options_.layout == StateLayout::kCompact) {
-    stats.customers = s.compact.cols.size();
-    stats.scalar_bytes = s.compact.cols.CapacityBytes() +
-                         s.compact.blocks.capacity() * sizeof(BlockSet);
-    stats.block_bytes = s.compact.arena.bytes_in_use();
-    stats.arena_reserved_bytes = s.compact.arena.bytes_reserved();
-    stats.shared_bytes = s.pows.MemoryUsage();
-  } else {
-    stats.customers = s.slab.size();
-    stats.scalar_bytes = s.slab.capacity() * sizeof(CustomerState);
-    for (const CustomerState& state : s.slab) {
-      stats.block_bytes += state.monitor.MemoryUsage();
-    }
-  }
+  stats.customers = s.compact.cols.size();
+  stats.scalar_bytes = s.compact.cols.CapacityBytes() +
+                       s.compact.blocks.capacity() * sizeof(BlockSet);
+  stats.block_bytes = s.compact.arena.bytes_in_use();
+  stats.arena_reserved_bytes = s.compact.arena.bytes_reserved();
+  stats.shared_bytes = s.pows.MemoryUsage();
   stats.total_bytes =
       stats.scalar_bytes + stats.index_bytes + stats.shared_bytes +
       std::max(stats.block_bytes, stats.arena_reserved_bytes);

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -30,26 +29,6 @@ inline uint64_t StableHash(uint64_t x) {
 
 struct Shard;
 
-/// How a shard stores customer state in memory. The layout is invisible on
-/// the wire: both run the identical kernels of core/state_kernel.h, so
-/// alerts and snapshot bytes are bit-identical across layouts, and either
-/// layout loads snapshots written by the other.
-enum class StateLayout : uint8_t {
-  /// Structure-of-arrays scalar columns plus arena-backed blocks for the
-  /// variable-size per-symbol counters, with one shared power-table cache
-  /// per shard. Roughly halves bytes/customer versus kHeap and makes shard
-  /// byte accounting O(1).
-  kCompact = 0,
-  /// One heap-allocated StabilityMonitor object per customer (the original
-  /// layout). Kept for A/B comparison and as the reference semantics.
-  kHeap = 1,
-};
-
-/// "compact" / "heap".
-std::string_view StateLayoutToString(StateLayout layout);
-/// Inverse of StateLayoutToString; InvalidArgument on anything else.
-Result<StateLayout> ParseStateLayout(std::string_view text);
-
 struct StateStoreOptions {
   core::OnlineStabilityScorer::Options scorer;
   core::MonitorPolicy policy;
@@ -57,8 +36,6 @@ struct StateStoreOptions {
   /// dense customer slab; customers are assigned by
   /// StableHash(customer_id) % num_shards.
   size_t num_shards = 16;
-  /// In-memory representation of per-customer state (see StateLayout).
-  StateLayout layout = StateLayout::kCompact;
 };
 
 /// Byte accounting for one shard, or — summed with operator+= — a whole
@@ -66,22 +43,20 @@ struct StateStoreOptions {
 /// logical sizes.
 struct StateMemoryStats {
   size_t customers = 0;
-  /// Fixed-size per-customer storage: SoA column capacity (compact) or the
-  /// monitor slab capacity (heap), block-handle table included.
+  /// Fixed-size per-customer storage: SoA column capacity, block-handle
+  /// table included.
   size_t scalar_bytes = 0;
-  /// Live variable-size storage: arena blocks in use (compact) or the sum
-  /// of per-monitor heap vectors (heap).
+  /// Live variable-size storage: arena blocks in use.
   size_t block_bytes = 0;
-  /// Arena chunk bytes held from the OS (compact only; >= block_bytes, the
-  /// difference is freelist + bump slack). 0 for the heap layout.
+  /// Arena chunk bytes held from the OS (>= block_bytes; the difference is
+  /// freelist + bump slack).
   size_t arena_reserved_bytes = 0;
   /// Estimated id -> slot hash index footprint.
   size_t index_bytes = 0;
-  /// Per-shard shared tables (the interned power caches). 0 for the heap
-  /// layout, whose monitors each carry private tables inside block_bytes.
+  /// Per-shard shared tables (the interned power caches).
   size_t shared_bytes = 0;
-  /// scalar + index + shared + max(block, arena_reserved): what the layout
-  /// actually costs, counting arena slack against the compact layout.
+  /// scalar + index + shared + max(block, arena_reserved): what the state
+  /// actually costs, arena slack included.
   size_t total_bytes = 0;
 
   StateMemoryStats& operator+=(const StateMemoryStats& other) {
@@ -99,26 +74,21 @@ struct StateMemoryStats {
 /// \brief Sharded owner of per-customer streaming state.
 ///
 /// Each customer is one logical StabilityMonitor (an OnlineStabilityScorer
-/// plus alerting policy), physically stored per StateLayout. Customers live
-/// in `num_shards` shards, each with one mutex, an id -> slot index, and
-/// slot storage in creation order. The ScoringFleet partitions batches by
+/// plus alerting policy), physically stored as structure-of-arrays scalar
+/// columns plus arena-backed blocks for the variable-size per-symbol
+/// counters, with one shared power-table cache per shard. The kernels of
+/// core/state_kernel.h run over that storage, the same code that runs
+/// inside StabilityMonitor. Customers live in `num_shards` shards, each
+/// with one mutex, an id -> slot index, and slot storage in creation
+/// order. The ScoringFleet partitions batches by
 /// shard and processes each shard sequentially under its lock, so two
 /// receipts of one customer can never race.
 ///
 /// Determinism: slot order is creation order, which the fleet makes
 /// batch-order within a shard; snapshots iterate slots in order, so the
-/// byte stream is independent of thread count and of the layout.
+/// byte stream is independent of thread count.
 class CustomerStateStore {
  public:
-  /// One customer of the kHeap layout.
-  struct CustomerState {
-    retail::CustomerId customer = retail::kInvalidCustomer;
-    core::StabilityMonitor monitor;
-
-    CustomerState(retail::CustomerId id, core::StabilityMonitor m)
-        : customer(id), monitor(std::move(m)) {}
-  };
-
   /// Validates the scorer options and shard count, per the library-wide
   /// `static Result<T> Make(Options)` convention (docs/API.md).
   static Result<CustomerStateStore> Make(StateStoreOptions options);
@@ -140,7 +110,7 @@ class CustomerStateStore {
   /// inside WithShard on the same shard.
   size_t ShardCustomers(size_t shard) const;
 
-  /// Layout-agnostic handle to one customer's state inside a locked shard.
+  /// Handle to one customer's state inside a locked shard.
   /// Valid only while the shard lock is held (i.e. inside the WithShard
   /// callback that produced it) and until the next GetOrCreate on the
   /// shard.
@@ -161,8 +131,7 @@ class CustomerStateStore {
     double last_stability() const;
 
     /// Bytes attributable to this customer: per-slot scalar footprint plus
-    /// live block capacities (compact), or sizeof(CustomerState) plus the
-    /// monitor's heap usage (heap). Shared per-shard tables excluded.
+    /// live block capacities. Shared per-shard tables excluded.
     size_t MemoryUsage() const;
 
    private:
@@ -216,9 +185,10 @@ class CustomerStateStore {
     return fn(accessor);
   }
 
-  /// Serializes shard `shard` (customer count, then per customer: id +
-  /// monitor state) into `writer`. Locks the shard. The byte stream is
-  /// identical for both layouts (same kernels run either way).
+  /// Serializes shard `shard` into `writer`: the customer count, then per
+  /// customer in slot order its id varint and the bytes
+  /// StabilityMonitor::SaveState writes for the same state. Locks the
+  /// shard.
   void SaveShardState(size_t shard, BinaryWriter* writer) const;
 
   /// Replaces shard `shard` with state written by SaveShardState. The store
@@ -229,8 +199,7 @@ class CustomerStateStore {
   /// untouched. Locks the shard.
   Status LoadShardState(size_t shard, BinaryReader* reader);
 
-  /// Byte accounting for one shard. Locks that shard; O(1) for the compact
-  /// layout, O(customers) for the heap layout.
+  /// Byte accounting for one shard. Locks that shard; O(1).
   StateMemoryStats ShardMemoryUsage(size_t shard) const;
 
   /// Sum of ShardMemoryUsage over all shards. Locks each shard in turn.
@@ -243,15 +212,11 @@ class CustomerStateStore {
   friend class CustomerRef;
 
   CustomerStateStore(StateStoreOptions options,
-                     core::StabilityMonitor prototype,
                      std::vector<std::unique_ptr<Shard>> shards);
 
   std::mutex& ShardMutex(size_t shard) const;
 
   StateStoreOptions options_;
-  /// A validated, never-fed monitor; kHeap customers copy it (cheap: all
-  /// internal vectors are empty until the first observation).
-  core::StabilityMonitor prototype_;
   /// unique_ptr so the store stays movable (Shard holds a mutex).
   std::vector<std::unique_ptr<Shard>> shards_;
 };

@@ -158,6 +158,24 @@ if(found EQUAL -1)
   message(FATAL_ERROR "shard-task spans missing from dump")
 endif()
 
+# --- A resumed fleet keeps the caller's --max-shard-retries. ----------------
+# With no retries the first failed shard task poisons its shard, whether the
+# fleet starts fresh or is restored from a mid-stream snapshot.
+set(MID_SNAP ${WORK_DIR}/mid.snap)
+run_cli(serve-replay --data ${DATASET} --to-day 200 --finish=false
+        --snapshot-out ${MID_SNAP})
+run_cli(serve-replay --data ${DATASET} --max-shard-retries 0
+        --failpoints "serve.shard.task=error@nth(1)")
+if(NOT cli_output MATCHES "1 shards poisoned")
+  message(FATAL_ERROR "fresh fleet did not poison a shard:\n${cli_output}")
+endif()
+run_cli(serve-replay --data ${DATASET} --resume ${MID_SNAP} --from-day 200
+        --max-shard-retries 0 --failpoints "serve.shard.task=error@nth(1)")
+if(NOT cli_output MATCHES "1 shards poisoned")
+  message(FATAL_ERROR
+    "resumed fleet ignored --max-shard-retries 0:\n${cli_output}")
+endif()
+
 # --- Flag validation. -------------------------------------------------------
 execute_process(COMMAND ${CLI} --telemetry-out ${WORK_DIR}/bad.jsonl
                         --telemetry-interval-ms 0

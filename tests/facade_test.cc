@@ -3,6 +3,7 @@
 // wiring the core directly.
 
 #include <algorithm>
+#include <filesystem>
 #include <span>
 #include <string>
 #include <vector>
@@ -130,6 +131,67 @@ TEST(Facade, FleetHandleMatchesRawFleetAndRoundTripsSnapshot) {
   const api::BatchReport handle_tail = restored.FinishAll().ValueOrDie();
   const api::BatchReport raw_tail = raw.FinishAll().ValueOrDie();
   EXPECT_EQ(handle_tail.alerts.size(), raw_tail.alerts.size());
+}
+
+TEST(Facade, RestoredFleetsTakeTheCallersRuntimeOptions) {
+  // Scorer, policy, shard count and granularity come from the snapshot;
+  // threads, quarantine and shard retries come from the caller, both when
+  // recovering a checkpointed journal and when opening a snapshot.
+  const api::Dataset& dataset = TestDataset();
+  api::FleetOptions options;
+  options.scorer.window_span_days = 2 * api::kDaysPerMonth;
+  options.num_shards = 8;
+  const std::span<const api::Receipt> all = dataset.store().AllReceipts();
+  std::vector<api::Receipt> replay(all.begin(), all.end());
+  std::stable_sort(replay.begin(), replay.end(),
+                   [](const api::Receipt& a, const api::Receipt& b) {
+                     return a.day < b.day;
+                   });
+  const size_t half = replay.size() / 2;
+  const std::span<const api::Receipt> first(replay.data(), half);
+  const std::span<const api::Receipt> second(replay.data() + half,
+                                             replay.size() - half);
+
+  const std::string dir = testing::TempDir() + "/facade_recover_journal";
+  const std::string snapshot_path =
+      testing::TempDir() + "/facade_recover.gens";
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove(snapshot_path);
+  {
+    api::JournalOptions journal_options;
+    journal_options.directory = dir;
+    journal_options.fsync = api::FsyncPolicy::kNone;
+    auto journal = api::IngestJournal::Open(journal_options).ValueOrDie();
+    auto fleet = serve::ScoringFleet::Make(options, &dataset.taxonomy())
+                     .ValueOrDie();
+    ASSERT_TRUE(journal.Append(0, first).ok());
+    ASSERT_TRUE(fleet.IngestBatch(first).ok());
+    const auto ref = fleet.AppendSnapshotGeneration(snapshot_path);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    ASSERT_TRUE(journal.Checkpoint(half, *ref).ok());
+    ASSERT_TRUE(journal.Append(half, second).ok());
+  }
+
+  api::FleetOptions runtime = options;
+  runtime.num_shards = 3;  // the snapshot's 8 shards win
+  runtime.num_threads = 3;
+  runtime.quarantine_malformed = false;
+  runtime.shard_retry.max_retries = 0;
+  const auto expect_runtime = [](const api::FleetOptions& got) {
+    EXPECT_EQ(got.num_shards, 8u);
+    EXPECT_EQ(got.num_threads, 3u);
+    EXPECT_FALSE(got.quarantine_malformed);
+    EXPECT_EQ(got.shard_retry.max_retries, 0);
+  };
+
+  auto recovered =
+      api::RecoverFleet(dir, snapshot_path, runtime, dataset).ValueOrDie();
+  EXPECT_EQ(recovered.recovery.watermark, half);
+  expect_runtime(recovered.fleet.options());
+
+  const auto reopened =
+      api::OpenSnapshot(snapshot_path, dataset, runtime).ValueOrDie();
+  expect_runtime(reopened.options());
 }
 
 TEST(Facade, LoadDatasetValidatesPath) {

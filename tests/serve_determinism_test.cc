@@ -111,16 +111,12 @@ struct ReplayResult {
 
 // Replays the stream in `kBatchDays`-day batches. When `split_batch` >= 0,
 // the fleet is snapshotted after that many batches, torn down, restored
-// (with `resume_threads` workers and `resume_layout` storage), and the
-// remainder replayed through the restored fleet — exercising the snapshot
-// mid-stream.
+// (with `resume_threads` workers), and the remainder replayed through the
+// restored fleet — exercising the snapshot mid-stream.
 ReplayResult Replay(size_t num_threads, size_t num_shards,
-                    int split_batch = -1, size_t resume_threads = 0,
-                    StateLayout layout = StateLayout::kCompact,
-                    StateLayout resume_layout = StateLayout::kCompact) {
+                    int split_batch = -1, size_t resume_threads = 0) {
   const std::vector<Receipt>& replay = ReplayStream();
-  FleetOptions options = TestOptions(num_threads, num_shards);
-  options.layout = layout;
+  const FleetOptions options = TestOptions(num_threads, num_shards);
   auto fleet =
       ScoringFleet::Make(options, &TestDataset().taxonomy()).ValueOrDie();
   ReplayResult result;
@@ -132,7 +128,7 @@ ReplayResult Replay(size_t num_threads, size_t num_shards,
       const std::string snapshot = SnapshotOf(fleet);
       BinaryReader reader(snapshot);
       fleet = ScoringFleet::Restore(&reader, &TestDataset().taxonomy(),
-                                    resume_threads, resume_layout)
+                                    TestOptions(resume_threads, num_shards))
                   .ValueOrDie();
     }
     const Day batch_end = replay[begin].day + kBatchDays;
@@ -187,35 +183,6 @@ TEST(ServeDeterminism, SnapshotRestoreContinueIsBitIdentical) {
     EXPECT_EQ(resumed.snapshot, uninterrupted.snapshot)
         << "split at batch " << split;
   }
-}
-
-TEST(ServeDeterminism, StorageLayoutNeverChangesAlertsOrSnapshot) {
-  // The compact (SoA + arena) and heap layouts run the same kernels over
-  // different storage; alerts and snapshot bytes must be identical.
-  const ReplayResult compact = Replay(/*num_threads=*/2, /*num_shards=*/16);
-  const ReplayResult heap =
-      Replay(/*num_threads=*/2, /*num_shards=*/16, /*split_batch=*/-1,
-             /*resume_threads=*/0, StateLayout::kHeap, StateLayout::kHeap);
-  EXPECT_FALSE(compact.alert_log.empty());
-  EXPECT_EQ(heap.alert_log, compact.alert_log);
-  EXPECT_EQ(heap.snapshot, compact.snapshot);
-}
-
-TEST(ServeDeterminism, CrossLayoutRestoreContinuesBitIdentically) {
-  // The layout is never serialized, so a snapshot taken under one layout
-  // restores under the other and continues bit-identically.
-  const ReplayResult uninterrupted =
-      Replay(/*num_threads=*/2, /*num_shards=*/16);
-  const ReplayResult compact_to_heap =
-      Replay(/*num_threads=*/2, /*num_shards=*/16, /*split_batch=*/20,
-             /*resume_threads=*/2, StateLayout::kCompact, StateLayout::kHeap);
-  const ReplayResult heap_to_compact =
-      Replay(/*num_threads=*/2, /*num_shards=*/16, /*split_batch=*/20,
-             /*resume_threads=*/2, StateLayout::kHeap, StateLayout::kCompact);
-  EXPECT_EQ(compact_to_heap.alert_log, uninterrupted.alert_log);
-  EXPECT_EQ(compact_to_heap.snapshot, uninterrupted.snapshot);
-  EXPECT_EQ(heap_to_compact.alert_log, uninterrupted.alert_log);
-  EXPECT_EQ(heap_to_compact.snapshot, uninterrupted.snapshot);
 }
 
 // Alert key used for the fleet vs raw-monitor cross-check: FinishAll alerts

@@ -141,48 +141,43 @@ TEST(CustomerStateStore, LoadRejectsCustomerFromWrongShard) {
 
 TEST(CustomerStateStore, GetOrCreateSurvivesThrowingCreation) {
   // Regression: GetOrCreate used to publish the shard-index entry before
-  // the customer's storage slot existed; a throwing creation (monitor copy,
-  // column growth) left a dangling index entry behind. Creation is now
-  // fully rolled back on throw, in both layouts.
-  for (const StateLayout layout :
-       {StateLayout::kCompact, StateLayout::kHeap}) {
-    StateStoreOptions options = SmallStoreOptions();
-    options.layout = layout;
-    auto store = CustomerStateStore::Make(options).ValueOrDie();
-    const CustomerId victim = 7;
-    const size_t shard = store.ShardOf(victim);
-    CustomerId neighbour = victim + 1;
-    while (store.ShardOf(neighbour) != shard) ++neighbour;
-    store.WithShard(shard, [&](CustomerStateStore::ShardAccessor& access) {
-      auto state = access.GetOrCreate(neighbour);
-      return state.Observe(5, {1}).ok() ? 0 : 1;
-    });
+  // the customer's storage slot existed; a throwing creation (column
+  // growth) left a dangling index entry behind. Creation is now fully
+  // rolled back on throw.
+  auto store = CustomerStateStore::Make(SmallStoreOptions()).ValueOrDie();
+  const CustomerId victim = 7;
+  const size_t shard = store.ShardOf(victim);
+  CustomerId neighbour = victim + 1;
+  while (store.ShardOf(neighbour) != shard) ++neighbour;
+  store.WithShard(shard, [&](CustomerStateStore::ShardAccessor& access) {
+    auto state = access.GetOrCreate(neighbour);
+    return state.Observe(5, {1}).ok() ? 0 : 1;
+  });
 
-    FailpointConfig config;
-    config.action = FailpointAction::kThrow;
-    config.has_key = true;
-    config.key = victim;
-    FailpointRegistry::Global().Get("serve.state.create")->Arm(config);
-    EXPECT_THROW(
-        store.WithShard(shard,
-                        [&](CustomerStateStore::ShardAccessor& access) {
-                          access.GetOrCreate(victim);
-                          return 0;
-                        }),
-        FailpointException);
-    FailpointRegistry::Global().Get("serve.state.create")->Disarm();
+  FailpointConfig config;
+  config.action = FailpointAction::kThrow;
+  config.has_key = true;
+  config.key = victim;
+  FailpointRegistry::Global().Get("serve.state.create")->Arm(config);
+  EXPECT_THROW(
+      store.WithShard(shard,
+                      [&](CustomerStateStore::ShardAccessor& access) {
+                        access.GetOrCreate(victim);
+                        return 0;
+                      }),
+      FailpointException);
+  FailpointRegistry::Global().Get("serve.state.create")->Disarm();
 
-    // The failed creation left no trace: the neighbour is intact and the
-    // victim can be created cleanly afterwards.
-    EXPECT_EQ(store.NumCustomers(), 1u) << StateLayoutToString(layout);
-    store.WithShard(shard, [&](CustomerStateStore::ShardAccessor& access) {
-      EXPECT_EQ(access.size(), 1u);
-      EXPECT_EQ(access.CustomerAt(0), neighbour);
-      auto state = access.GetOrCreate(victim);
-      return state.Observe(6, {1, 2}).ok() ? 0 : 1;
-    });
-    EXPECT_EQ(store.NumCustomers(), 2u) << StateLayoutToString(layout);
-  }
+  // The failed creation left no trace: the neighbour is intact and the
+  // victim can be created cleanly afterwards.
+  EXPECT_EQ(store.NumCustomers(), 1u);
+  store.WithShard(shard, [&](CustomerStateStore::ShardAccessor& access) {
+    EXPECT_EQ(access.size(), 1u);
+    EXPECT_EQ(access.CustomerAt(0), neighbour);
+    auto state = access.GetOrCreate(victim);
+    return state.Observe(6, {1, 2}).ok() ? 0 : 1;
+  });
+  EXPECT_EQ(store.NumCustomers(), 2u);
 }
 
 TEST(CustomerStateStore, LoadShardStateIsAllOrNothing) {

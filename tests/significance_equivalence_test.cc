@@ -14,7 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "core/significance_reference.h"
+#include "support/significance_reference.h"
 
 namespace churnlab {
 namespace core {

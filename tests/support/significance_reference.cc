@@ -1,4 +1,4 @@
-#include "core/significance_reference.h"
+#include "support/significance_reference.h"
 
 #include <algorithm>
 

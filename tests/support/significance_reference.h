@@ -1,5 +1,5 @@
-#ifndef CHURNLAB_CORE_SIGNIFICANCE_REFERENCE_H_
-#define CHURNLAB_CORE_SIGNIFICANCE_REFERENCE_H_
+#ifndef CHURNLAB_TESTS_SUPPORT_SIGNIFICANCE_REFERENCE_H_
+#define CHURNLAB_TESTS_SUPPORT_SIGNIFICANCE_REFERENCE_H_
 
 #include <cstdint>
 #include <unordered_map>
@@ -71,4 +71,4 @@ class ReferenceSignificanceTracker {
 }  // namespace core
 }  // namespace churnlab
 
-#endif  // CHURNLAB_CORE_SIGNIFICANCE_REFERENCE_H_
+#endif  // CHURNLAB_TESTS_SUPPORT_SIGNIFICANCE_REFERENCE_H_

@@ -334,33 +334,100 @@ Status RunGridSearch(int argc, const char* const* argv) {
   return Status::OK();
 }
 
+/// The fleet flags serve-replay and serve-http share: registered on the
+/// command's parser, then validated and turned into FleetOptions.
+struct FleetFlags {
+  std::string data, resume, failpoints;
+  double alpha = 0.0, beta = 0.0;
+  int64_t window = 0, max_shard_retries = 0;
+  uint64_t threads = 0, shards = 0;
+  bool products = false;
+
+  explicit FleetFlags(FlagParser* parser) {
+    parser->AddString("data", "", "dataset path (.clb) or CSV prefix; "
+                      "supplies the product taxonomy the fleet scores "
+                      "against", &data);
+    parser->AddDouble("alpha", 2.0, "significance alpha", &alpha);
+    parser->AddDouble("beta", 0.6, "low-stability alert threshold", &beta);
+    parser->AddInt64("window", 2, "window span in months", &window);
+    parser->AddUint64("threads", 1,
+                      "fleet scoring threads (same output for any count)",
+                      &threads);
+    parser->AddUint64("shards", 16, "state-store shards", &shards);
+    parser->AddBool("products", false,
+                    "observe raw products instead of taxonomy segments",
+                    &products);
+    parser->AddInt64("max-shard-retries", 2,
+                     "retries per failed shard task before the shard is "
+                     "poisoned",
+                     &max_shard_retries);
+    parser->AddString("resume", "",
+                      "restore the fleet from this snapshot first", &resume);
+    parser->AddString("failpoints", "",
+                      "fault-injection spec, e.g. "
+                      "'serve.ingest.receipt=throw@every(1000)' "
+                      "(docs/ROBUSTNESS.md)",
+                      &failpoints);
+  }
+
+  /// Validates the flags, arms --failpoints, and returns the fleet options.
+  Result<api::FleetOptions> Options() const {
+    if (max_shard_retries < 0) {
+      return Status::InvalidArgument("--max-shard-retries must be >= 0");
+    }
+    if (!failpoints.empty()) {
+      CHURNLAB_RETURN_NOT_OK(
+          api::FailpointRegistry::Global().ArmFromSpec(failpoints));
+    }
+    api::FleetOptions options;
+    options.scorer.significance.alpha = alpha;
+    options.scorer.window_span_days =
+        static_cast<api::Day>(window) * api::kDaysPerMonth;
+    options.policy.beta = beta;
+    options.num_shards = static_cast<size_t>(shards);
+    options.num_threads = static_cast<size_t>(threads);
+    options.granularity = products ? api::Granularity::kProduct
+                                   : api::Granularity::kSegment;
+    options.shard_retry.max_retries = static_cast<int>(max_shard_retries);
+    return options;
+  }
+
+  /// A fresh fleet, or --resume's snapshot restored with `options`' runtime
+  /// settings. Both commands open snapshots here, so a corrupt tail
+  /// generation falls back (and is reported) identically.
+  Result<api::FleetHandle> OpenFleet(const api::FleetOptions& options,
+                                     const api::Dataset& dataset) const {
+    if (resume.empty()) return api::FleetHandle::Make(options, dataset);
+    return api::OpenSnapshot(resume, dataset, options);
+  }
+};
+
+void PrintRecovery(const std::string& journal,
+                   const api::JournalRecovery& recovery) {
+  std::printf("recovered journal %s: watermark=%llu frames=%zu "
+              "receipts=%llu discarded-tail-frames=%zu "
+              "next-sequence=%llu\n",
+              journal.c_str(),
+              static_cast<unsigned long long>(recovery.watermark),
+              recovery.frames_scanned,
+              static_cast<unsigned long long>(recovery.next_sequence -
+                                              recovery.watermark),
+              recovery.discarded_tail_frames,
+              static_cast<unsigned long long>(recovery.next_sequence));
+}
+
 Status RunServeReplay(int argc, const char* const* argv) {
   FlagParser parser(
       "churnlab serve-replay: replay a dataset through the scoring fleet "
       "in day-ordered batches");
-  std::string data, snapshot_out, resume, failpoints, state_layout, recover;
-  double alpha, beta;
-  int64_t window, batch_days, from_day, to_day, max_shard_retries;
-  int64_t mem_budget_mb, limit_receipts;
-  uint64_t threads, shards;
-  bool products, finish;
-  parser.AddString("data", "", "dataset path (.clb) or CSV prefix", &data);
-  parser.AddDouble("alpha", 2.0, "significance alpha", &alpha);
-  parser.AddDouble("beta", 0.6, "low-stability alert threshold", &beta);
-  parser.AddInt64("window", 2, "window span in months", &window);
+  FleetFlags flags(&parser);
+  std::string snapshot_out, recover;
+  int64_t batch_days, from_day, to_day, mem_budget_mb, limit_receipts;
+  bool finish;
   parser.AddInt64("batch-days", 7, "days of receipts per ingested batch",
                   &batch_days);
-  parser.AddUint64("threads", 1, "worker threads (same output for any count)",
-                   &threads);
-  parser.AddUint64("shards", 16, "state-store shards", &shards);
-  parser.AddBool("products", false,
-                 "observe raw products instead of taxonomy segments",
-                 &products);
   parser.AddString("snapshot-out", "",
                    "write a fleet snapshot here after the replay", &snapshot_out);
-  parser.AddString("resume", "",
-                   "restore the fleet from this snapshot before replaying",
-                   &resume);
   parser.AddString("recover", "",
                    "crash recovery: replay this journal directory "
                    "(read-only) atop the checkpointed generation named in "
@@ -384,20 +451,6 @@ Status RunServeReplay(int argc, const char* const* argv) {
                  "flush in-progress windows at end of stream (disable when "
                  "snapshotting mid-stream for a later --resume)",
                  &finish);
-  parser.AddString("failpoints", "",
-                   "fault-injection spec, e.g. "
-                   "'serve.ingest.receipt=throw@every(1000)' "
-                   "(docs/ROBUSTNESS.md)",
-                   &failpoints);
-  parser.AddInt64("max-shard-retries", 2,
-                  "retries per failed shard task before the shard is "
-                  "poisoned",
-                  &max_shard_retries);
-  parser.AddString("state-layout", "compact",
-                   "customer-state storage: compact (SoA + arena) or heap "
-                   "(one monitor object per customer); output is identical "
-                   "either way",
-                   &state_layout);
   parser.AddInt64("mem-budget-mb", 0,
                   "soft budget for fleet state bytes: when exceeded, a "
                   "warning is logged and a memory summary printed (0 = "
@@ -410,68 +463,32 @@ Status RunServeReplay(int argc, const char* const* argv) {
   if (to_day >= 0 && to_day <= from_day) {
     return Status::InvalidArgument("--to-day must be greater than --from-day");
   }
-  if (max_shard_retries < 0) {
-    return Status::InvalidArgument("--max-shard-retries must be >= 0");
-  }
   if (mem_budget_mb < 0) {
     return Status::InvalidArgument("--mem-budget-mb must be >= 0");
   }
   if (limit_receipts < -1) {
     return Status::InvalidArgument("--limit-receipts must be >= -1");
   }
-  if (!recover.empty() && resume.empty()) {
+  if (!recover.empty() && flags.resume.empty()) {
     return Status::InvalidArgument(
         "--recover requires --resume (the snapshot file the journal's "
         "checkpoints name generations in)");
   }
-  if (!failpoints.empty()) {
-    CHURNLAB_RETURN_NOT_OK(
-        api::FailpointRegistry::Global().ArmFromSpec(failpoints));
-  }
-  CHURNLAB_ASSIGN_OR_RETURN(const api::Dataset dataset, LoadDataset(data));
-
-  api::FleetOptions options;
-  options.scorer.significance.alpha = alpha;
-  options.scorer.window_span_days =
-      static_cast<api::Day>(window) * api::kDaysPerMonth;
-  options.policy.beta = beta;
-  options.num_shards = static_cast<size_t>(shards);
-  options.num_threads = static_cast<size_t>(threads);
-  options.granularity = products ? api::Granularity::kProduct
-                                 : api::Granularity::kSegment;
-  options.shard_retry.max_retries = static_cast<int>(max_shard_retries);
-  CHURNLAB_ASSIGN_OR_RETURN(options.layout,
-                            api::ParseStateLayout(state_layout));
+  CHURNLAB_ASSIGN_OR_RETURN(const api::FleetOptions options, flags.Options());
+  CHURNLAB_ASSIGN_OR_RETURN(const api::Dataset dataset,
+                            LoadDataset(flags.data));
 
   Result<api::FleetHandle> fleet = Status::Internal("fleet not built");
   if (!recover.empty()) {
     // Crash recovery: checkpointed generation + journal frames above the
     // watermark, byte-identical to the crashed server's post-replay state.
-    Result<api::RecoveredFleet> recovered = api::RecoverFleet(
-        recover, resume, options, dataset, static_cast<size_t>(threads),
-        options.layout);
+    Result<api::RecoveredFleet> recovered =
+        api::RecoverFleet(recover, flags.resume, options, dataset);
     CHURNLAB_RETURN_NOT_OK(recovered.status());
-    std::printf("recovered journal %s: watermark=%llu frames=%zu "
-                "receipts=%llu discarded-tail-frames=%zu "
-                "next-sequence=%llu\n",
-                recover.c_str(),
-                static_cast<unsigned long long>(
-                    recovered->recovery.watermark),
-                recovered->recovery.frames_scanned,
-                static_cast<unsigned long long>(
-                    recovered->recovery.next_sequence -
-                    recovered->recovery.watermark),
-                recovered->recovery.discarded_tail_frames,
-                static_cast<unsigned long long>(
-                    recovered->recovery.next_sequence));
+    PrintRecovery(recover, recovered->recovery);
     fleet = std::move(recovered->fleet);
-  } else if (resume.empty()) {
-    fleet = api::FleetHandle::Make(options, dataset);
   } else {
-    // --resume shares api::OpenSnapshot with serve-http, so a corrupt tail
-    // generation falls back (and is reported) identically in both paths.
-    fleet = api::OpenSnapshot(resume, dataset, static_cast<size_t>(threads),
-                              options.layout);
+    fleet = flags.OpenFleet(options, dataset);
   }
   CHURNLAB_RETURN_NOT_OK(fleet.status());
 
@@ -532,9 +549,7 @@ Status RunServeReplay(int argc, const char* const* argv) {
                       __FILE__, __LINE__)
             .Uint("bytes_total", memory.total_bytes)
             .Uint("budget_bytes", mem_budget_bytes)
-            .Uint("customers", memory.customers)
-            .Str("layout", std::string(
-                     api::StateLayoutToString(options.layout)));
+            .Uint("customers", memory.customers);
       }
     }
 
@@ -585,11 +600,9 @@ Status RunServeReplay(int argc, const char* const* argv) {
                   static_cast<double>(memory.customers)
             : 0.0;
     std::printf("state memory: %.1f MiB for %zu customers "
-                "(%.0f B/customer, layout=%s)%s\n",
+                "(%.0f B/customer)%s\n",
                 static_cast<double>(memory.total_bytes) / (1024.0 * 1024.0),
                 memory.customers, per_customer,
-                std::string(api::StateLayoutToString(options.layout))
-                    .c_str(),
                 mem_budget_warned ? " [budget exceeded]" : "");
   }
   if (!snapshot_out.empty()) {
@@ -604,39 +617,16 @@ Status RunServeHttp(int argc, const char* const* argv) {
       "churnlab serve-http: run the HTTP/1.1 scoring front end over a "
       "sharded fleet (POST /v1/ingest, GET /v1/customers/{id}, GET "
       "/v1/health, GET /metrics, POST /v1/snapshot)");
-  std::string data, bind, snapshot_out, resume, failpoints, state_layout;
-  std::string journal, journal_fsync;
-  double alpha, beta;
-  int64_t window, port, retry_after, poll_ms, max_shard_retries;
-  int64_t snapshot_interval_ms;
-  uint64_t threads, net_threads, shards;
-  uint64_t max_body_mb, max_inflight, max_pending_mb;
+  FleetFlags flags(&parser);
+  std::string bind, snapshot_out, journal, journal_fsync;
+  int64_t port, retry_after, poll_ms, snapshot_interval_ms;
+  uint64_t net_threads, max_body_mb, max_inflight, max_pending_mb;
   uint64_t coalesce_batch, coalesce_queue, max_request_receipts;
-  bool products, snapshot_append, recover;
-  parser.AddString("data", "", "dataset path (.clb) or CSV prefix; supplies "
-                   "the product taxonomy the fleet scores against", &data);
+  bool snapshot_append, recover;
   parser.AddString("bind", "127.0.0.1", "IPv4 address to bind", &bind);
   parser.AddInt64("port", 8080, "TCP port (0 = ephemeral)", &port);
   parser.AddUint64("net-threads", 8, "connection worker threads",
                    &net_threads);
-  parser.AddUint64("threads", 1, "fleet scoring threads", &threads);
-  parser.AddUint64("shards", 16, "state-store shards", &shards);
-  parser.AddDouble("alpha", 2.0, "significance alpha", &alpha);
-  parser.AddDouble("beta", 0.6, "low-stability alert threshold", &beta);
-  parser.AddInt64("window", 2, "window span in months", &window);
-  parser.AddBool("products", false,
-                 "observe raw products instead of taxonomy segments",
-                 &products);
-  parser.AddString("state-layout", "compact",
-                   "customer-state storage: compact (SoA + arena) or heap",
-                   &state_layout);
-  parser.AddInt64("max-shard-retries", 2,
-                  "retries per failed shard task before the shard is "
-                  "poisoned",
-                  &max_shard_retries);
-  parser.AddString("resume", "",
-                   "restore the fleet from this snapshot before serving",
-                   &resume);
   parser.AddString("snapshot-out", "",
                    "snapshot destination for POST /v1/snapshot and the "
                    "drain-time flush (empty disables both)",
@@ -686,10 +676,6 @@ Status RunServeHttp(int argc, const char* const* argv) {
                    "receipts accepted per ingest request (413 beyond it)",
                    &max_request_receipts);
   parser.AddInt64("poll-ms", 100, "idle-connection poll tick (ms)", &poll_ms);
-  parser.AddString("failpoints", "",
-                   "fault-injection spec, e.g. 'net.read=error@every(100)' "
-                   "(docs/ROBUSTNESS.md)",
-                   &failpoints);
   CHURNLAB_RETURN_NOT_OK(parser.Parse(argc, argv, 2));
   if (port < 0 || port > 65535) {
     return Status::InvalidArgument("--port must be in [0, 65535]");
@@ -699,9 +685,6 @@ Status RunServeHttp(int argc, const char* const* argv) {
   }
   if (poll_ms <= 0) {
     return Status::InvalidArgument("--poll-ms must be positive");
-  }
-  if (max_shard_retries < 0) {
-    return Status::InvalidArgument("--max-shard-retries must be >= 0");
   }
   if (recover && journal.empty()) {
     return Status::InvalidArgument("--recover requires --journal");
@@ -716,31 +699,16 @@ Status RunServeHttp(int argc, const char* const* argv) {
         "--journal requires --snapshot-append: checkpoints name a snapshot "
         "generation, which a truncating snapshot would destroy");
   }
-  if (recover && !resume.empty()) {
+  if (recover && !flags.resume.empty()) {
     return Status::InvalidArgument(
         "--recover and --resume are exclusive: recovery restores the "
         "generation the journal checkpoint names, not the newest one");
   }
   CHURNLAB_ASSIGN_OR_RETURN(const api::FsyncPolicy fsync_policy,
                             api::ParseFsyncPolicy(journal_fsync));
-  if (!failpoints.empty()) {
-    CHURNLAB_RETURN_NOT_OK(
-        api::FailpointRegistry::Global().ArmFromSpec(failpoints));
-  }
-  CHURNLAB_ASSIGN_OR_RETURN(const api::Dataset dataset, LoadDataset(data));
-
-  api::FleetOptions options;
-  options.scorer.significance.alpha = alpha;
-  options.scorer.window_span_days =
-      static_cast<api::Day>(window) * api::kDaysPerMonth;
-  options.policy.beta = beta;
-  options.num_shards = static_cast<size_t>(shards);
-  options.num_threads = static_cast<size_t>(threads);
-  options.granularity = products ? api::Granularity::kProduct
-                                 : api::Granularity::kSegment;
-  options.shard_retry.max_retries = static_cast<int>(max_shard_retries);
-  CHURNLAB_ASSIGN_OR_RETURN(options.layout,
-                            api::ParseStateLayout(state_layout));
+  CHURNLAB_ASSIGN_OR_RETURN(const api::FleetOptions options, flags.Options());
+  CHURNLAB_ASSIGN_OR_RETURN(const api::Dataset dataset,
+                            LoadDataset(flags.data));
 
   api::ServerHandle::Options server_options;
   server_options.http.bind_address = bind;
@@ -772,33 +740,15 @@ Status RunServeHttp(int argc, const char* const* argv) {
   if (recover) {
     api::JournalRecovery recovery;
     server = api::ServerHandle::Recover(std::move(server_options), options,
-                                        dataset,
-                                        static_cast<size_t>(threads),
-                                        options.layout, &recovery);
+                                        dataset, options.num_threads, {},
+                                        &recovery);
     CHURNLAB_RETURN_NOT_OK(server.status());
-    std::printf("recovered journal %s: watermark=%llu frames=%zu "
-                "receipts=%llu discarded-tail-frames=%zu "
-                "next-sequence=%llu\n",
-                journal.c_str(),
-                static_cast<unsigned long long>(recovery.watermark),
-                recovery.frames_scanned,
-                static_cast<unsigned long long>(recovery.next_sequence -
-                                                recovery.watermark),
-                recovery.discarded_tail_frames,
-                static_cast<unsigned long long>(recovery.next_sequence));
+    PrintRecovery(journal, recovery);
   } else {
-    // --resume shares api::OpenSnapshot with serve-replay, so a corrupt
-    // tail generation falls back (and is reported) identically in both
-    // paths.
-    Result<api::FleetHandle> fleet =
-        resume.empty()
-            ? api::FleetHandle::Make(options, dataset)
-            : api::OpenSnapshot(resume, dataset,
-                                static_cast<size_t>(threads),
-                                options.layout);
-    CHURNLAB_RETURN_NOT_OK(fleet.status());
+    CHURNLAB_ASSIGN_OR_RETURN(api::FleetHandle fleet,
+                              flags.OpenFleet(options, dataset));
     server = api::ServerHandle::Make(std::move(server_options),
-                                     std::move(*fleet));
+                                     std::move(fleet));
   }
   CHURNLAB_RETURN_NOT_OK(server.status());
   CHURNLAB_RETURN_NOT_OK(server->Start());
