@@ -155,7 +155,6 @@ using StabilityAlert = core::StabilityAlert;
 using churnlab::FailpointRegistry;
 using churnlab::RetryPolicy;
 
-class FleetHandle;
 struct RecoveredFleet;
 
 /// \brief Streaming multi-customer serving: sharded per-customer state,

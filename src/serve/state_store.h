@@ -33,7 +33,7 @@ struct StateStoreOptions {
   core::OnlineStabilityScorer::Options scorer;
   core::MonitorPolicy policy;
   /// Number of independent shards (>= 1). Each shard has its own mutex and
-  /// dense customer slab; customers are assigned by
+  /// dense customer columns; customers are assigned by
   /// StableHash(customer_id) % num_shards.
   size_t num_shards = 16;
 };
