@@ -10,7 +10,8 @@
 //      batching, never different math).
 //   5. A store's shard snapshot frame is the customer count followed by
 //      id + StabilityMonitor::SaveState per customer in slot order, and
-//      loading that frame continues like the raw monitors do.
+//      loading that frame continues like the raw monitors do, for the
+//      alpha-power and EWMA kinds and for a clamped alpha-power total.
 
 #include <algorithm>
 #include <cstdio>
@@ -18,6 +19,7 @@
 #include <span>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -293,10 +295,14 @@ std::string StoreShardFrame(const CustomerStateStore& store, size_t shard) {
   return writer.buffer();
 }
 
-TEST(ServeDeterminism, StoreShardFramesAreMonitorSaveStateInSlotOrder) {
+// Feeds the stream through a store and through raw monitors side by side
+// under `significance`, and checks the frames and continuations agree.
+void ExpectStoreFramesMatchMonitors(
+    const core::SignificanceOptions& significance) {
   const retail::Dataset& dataset = TestDataset();
-  const FleetOptions fleet_options = TestOptions(/*num_threads=*/1,
-                                                 /*num_shards=*/4);
+  FleetOptions fleet_options = TestOptions(/*num_threads=*/1,
+                                           /*num_shards=*/4);
+  fleet_options.scorer.significance = significance;
   StateStoreOptions options;
   options.scorer = fleet_options.scorer;
   options.policy = fleet_options.policy;
@@ -394,6 +400,24 @@ TEST(ServeDeterminism, StoreShardFramesAreMonitorSaveStateInSlotOrder) {
     });
     EXPECT_EQ(StoreShardFrame(loaded, shard), oracle.ShardFrame(shard))
         << "shard " << shard;
+  }
+}
+
+TEST(ServeDeterminism, StoreShardFramesAreMonitorSaveStateInSlotOrder) {
+  // The default alpha-power kind; the EWMA kind; and an alpha-power total
+  // clamped below the stream's 10 windows, which runs the histogram total.
+  const core::SignificanceOptions alpha_power =
+      TestOptions(/*num_threads=*/1, /*num_shards=*/4).scorer.significance;
+  core::SignificanceOptions ewma = alpha_power;
+  ewma.kind = core::SignificanceKind::kEwma;
+  ewma.ewma_lambda = 0.6;
+  core::SignificanceOptions clamped = alpha_power;
+  clamped.max_abs_exponent = 3.0;
+  for (const auto& [name, significance] :
+       {std::pair{"alpha_power", alpha_power}, std::pair{"ewma", ewma},
+        std::pair{"clamped", clamped}}) {
+    SCOPED_TRACE(name);
+    ExpectStoreFramesMatchMonitors(significance);
   }
 }
 
