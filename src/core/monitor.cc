@@ -5,24 +5,9 @@
 #include "common/macros.h"
 #include "common/string_util.h"
 #include "core/state_kernel.h"
-#include "obs/metrics.h"
 
 namespace churnlab {
 namespace core {
-namespace kernel {
-
-void RecordAlert(StabilityAlert::Kind kind) {
-  static obs::Counter* const low_stability =
-      obs::MetricsRegistry::Global().GetCounter(
-          "churnlab.core.alerts_low_stability");
-  static obs::Counter* const sharp_drop =
-      obs::MetricsRegistry::Global().GetCounter(
-          "churnlab.core.alerts_sharp_drop");
-  (kind == StabilityAlert::Kind::kLowStability ? low_stability : sharp_drop)
-      ->Increment();
-}
-
-}  // namespace kernel
 
 std::string StabilityAlert::ToString() const {
   std::ostringstream out;
@@ -51,38 +36,26 @@ Result<StabilityMonitor> StabilityMonitor::Make(
 
 Result<std::vector<StabilityAlert>> StabilityMonitor::Observe(
     retail::Day day, const std::vector<Symbol>& symbols) {
-  CHURNLAB_ASSIGN_OR_RETURN(const std::vector<StabilityPoint> points,
-                            scorer_.Observe(day, symbols));
-  return kernel::Evaluate(state_, policy_,
-                          std::span<const StabilityPoint>(points));
+  const SignificanceTracker& tracker = scorer_.tracker_;
+  return kernel::MonitorObserve(tracker.View(), scorer_.options_, policy_,
+                                tracker.pows_, day, symbols);
 }
 
 Result<std::vector<StabilityAlert>> StabilityMonitor::AdvanceTo(
     retail::Day day) {
-  CHURNLAB_ASSIGN_OR_RETURN(const std::vector<StabilityPoint> points,
-                            scorer_.AdvanceTo(day));
-  return kernel::Evaluate(state_, policy_,
-                          std::span<const StabilityPoint>(points));
+  const SignificanceTracker& tracker = scorer_.tracker_;
+  return kernel::MonitorAdvanceTo(tracker.View(), scorer_.options_, policy_,
+                                  tracker.pows_, day);
 }
 
 Result<std::vector<StabilityAlert>> StabilityMonitor::Finish() {
-  Result<StabilityPoint> point = scorer_.Finish();
-  if (!point.ok()) {
-    if (point.status().IsFailedPrecondition()) {
-      // Never-fed monitor: nothing to flush, by contract a no-op.
-      return std::vector<StabilityAlert>();
-    }
-    return point.status();
-  }
-  const StabilityPoint points[] = {*point};
-  return kernel::Evaluate(state_, policy_,
-                          std::span<const StabilityPoint>(points));
+  const SignificanceTracker& tracker = scorer_.tracker_;
+  return kernel::MonitorFinish(tracker.View(), scorer_.options_, policy_,
+                               tracker.pows_);
 }
 
 void StabilityMonitor::SaveState(BinaryWriter* writer) const {
-  scorer_.SaveState(writer);
-  kernel::MonitorTailSaveState(
-      const_cast<StabilityMonitor*>(this)->state_, writer);
+  kernel::MonitorSaveState(scorer_.tracker_.View(), writer);
 }
 
 }  // namespace core

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/binary_io.h"
 #include "common/result.h"
 #include "core/online_scorer.h"
 
@@ -46,10 +47,10 @@ struct StabilityAlert {
 /// \brief Streaming per-customer attrition alerting: an
 /// OnlineStabilityScorer plus debounced threshold policies.
 ///
-/// The policy evaluation lives in the shared kernels of
-/// core/state_kernel.h, instantiated here over the nested State struct;
-/// the serving layer's state store instantiates the same kernels over its
-/// shard columns.
+/// The policy evaluation lives in the kernels of core/state_kernel.h, run
+/// over the CustomerState of the tracker inside the scorer this monitor
+/// owns; the serving layer's state store runs the same kernels over its
+/// shard columns. Move-only.
 ///
 /// \code
 ///   auto monitor = StabilityMonitor::Make(scorer_options, policy)
@@ -63,18 +64,6 @@ struct StabilityAlert {
 /// \endcode
 class StabilityMonitor {
  public:
-  /// This monitor's own storage behind the shared kernels: the
-  /// MonitorState concept of state_kernel.h over plain members.
-  struct State {
-    double last_stability = 1.0;
-    uint8_t has_previous = 0;
-    int32_t low_streak = 0;
-
-    double& LastStability() { return last_stability; }
-    uint8_t& HasPrevious() { return has_previous; }
-    int32_t& LowStreak() { return low_streak; }
-  };
-
   static Result<StabilityMonitor> Make(OnlineStabilityScorer::Options options,
                                        MonitorPolicy policy);
 
@@ -94,7 +83,9 @@ class StabilityMonitor {
   Result<std::vector<StabilityAlert>> Finish();
 
   /// Stability of the most recently closed window (1.0 before any closes).
-  double last_stability() const { return state_.last_stability; }
+  double last_stability() const {
+    return scorer_.tracker_.scalars_.last_stability;
+  }
   int32_t windows_closed() const { return scorer_.windows_emitted(); }
   const MonitorPolicy& policy() const { return policy_; }
 
@@ -110,7 +101,6 @@ class StabilityMonitor {
 
   OnlineStabilityScorer scorer_;
   MonitorPolicy policy_;
-  State state_;
 };
 
 }  // namespace core

@@ -1,8 +1,6 @@
 #ifndef CHURNLAB_CORE_ONLINE_SCORER_H_
 #define CHURNLAB_CORE_ONLINE_SCORER_H_
 
-#include <cstddef>
-#include <span>
 #include <vector>
 
 #include "common/result.h"
@@ -23,10 +21,10 @@ namespace core {
 /// as soon as the window closes — with results bit-identical to the batch
 /// pipeline on the same data (guaranteed by tests).
 ///
-/// The streaming logic lives in the shared kernels of
-/// core/state_kernel.h, instantiated here over the nested State struct;
-/// the serving layer's state store instantiates the same kernels over its
-/// shard columns.
+/// The streaming logic lives in the kernels of core/state_kernel.h, run
+/// over the CustomerState of the tracker this scorer owns; the serving
+/// layer's state store runs the same kernels over its shard columns.
+/// Move-only.
 ///
 /// \code
 ///   OnlineStabilityScorer scorer =
@@ -49,34 +47,13 @@ class OnlineStabilityScorer {
     retail::Day origin_day = 0;
   };
 
-  /// This scorer's own storage behind the shared kernels: the ScorerState
-  /// concept of state_kernel.h over plain members.
-  struct State {
-    std::vector<Symbol> current_symbols;  // kept sorted + deduplicated
-    int32_t current_window = 0;
-    retail::Day last_observed_day = -1;
-
-    std::span<const Symbol> CurrentSymbols() const {
-      return {current_symbols.data(), current_symbols.size()};
-    }
-    void InsertCurrentSymbol(size_t pos, Symbol symbol) {
-      current_symbols.insert(
-          current_symbols.begin() + static_cast<ptrdiff_t>(pos), symbol);
-    }
-    void AppendCurrentSymbol(Symbol symbol) {
-      current_symbols.push_back(symbol);
-    }
-    void ReserveCurrentSymbols(size_t n) { current_symbols.reserve(n); }
-    void ClearCurrentSymbols() { current_symbols.clear(); }
-    int32_t& CurrentWindow() { return current_window; }
-    retail::Day& LastObservedDay() { return last_observed_day; }
-  };
-
   /// Validates the options.
   static Result<OnlineStabilityScorer> Make(Options options);
 
   /// Feeds one observation. `day` must be >= every previously observed day
-  /// (chronological stream) and >= origin; violations return
+  /// (chronological stream) and >= origin, its window must lie below
+  /// kernel::kMaxWindowsSeen, and every symbol other than kInvalidSymbol
+  /// must lie below kernel::kMaxSymbolSpace; violations return
   /// InvalidArgument and leave the scorer unchanged. Returns the stability
   /// points of every window that closed strictly before `day`'s window
   /// (empty vector when `day` falls into the current window).
@@ -97,28 +74,20 @@ class OnlineStabilityScorer {
   Result<StabilityPoint> Finish();
 
   /// Index of the window currently being accumulated.
-  int32_t current_window() const { return state_.current_window; }
+  int32_t current_window() const { return tracker_.scalars_.current_window; }
 
   /// Number of windows already emitted.
   int32_t windows_emitted() const { return tracker_.windows_seen(); }
 
-  /// Serializes the streaming state (tracker counters, the in-progress
-  /// window's symbol union, stream position) in the format the serving
-  /// layer's state store loads. Options are not written; the caller
-  /// persists them.
-  void SaveState(BinaryWriter* writer) const;
-
  private:
+  friend class StabilityMonitor;
+
   explicit OnlineStabilityScorer(Options options)
       : options_(options), tracker_(options.significance) {}
 
-  State& MutableState() const {
-    return const_cast<OnlineStabilityScorer*>(this)->state_;
-  }
-
   Options options_;
+  /// Holds this scorer's state along with the tracker's.
   SignificanceTracker tracker_;
-  State state_;
 };
 
 }  // namespace core

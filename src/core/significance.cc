@@ -1,5 +1,6 @@
 #include "core/significance.h"
 
+#include <span>
 #include <string>
 
 #include "core/state_kernel.h"
@@ -28,51 +29,46 @@ Result<SignificanceTracker> SignificanceTracker::Make(
 }
 
 double SignificanceTracker::SignificanceOf(Symbol symbol) const {
-  return kernel::SignificanceOf(MutableState(), options_, pows_, symbol);
+  return kernel::SignificanceOf(View(), options_, pows_, symbol);
 }
 
 int32_t SignificanceTracker::ContainCount(Symbol symbol) const {
-  return kernel::ContainCount(MutableState(), symbol);
+  return kernel::ContainCount(View(), symbol);
 }
 
 int32_t SignificanceTracker::MissCount(Symbol symbol) const {
-  return kernel::MissCount(MutableState(), symbol);
+  return kernel::MissCount(View(), symbol);
 }
 
 double SignificanceTracker::TotalSignificance() const {
-  return kernel::TotalSignificance(MutableState(), options_, pows_);
+  return kernel::TotalSignificance(View(), options_, pows_);
 }
 
 double SignificanceTracker::PresentSignificance(
     const std::vector<Symbol>& symbols) const {
-  return kernel::PresentSignificance(MutableState(), options_, pows_,
-                                     std::span<const Symbol>(symbols));
+  return kernel::PresentSignificance(View(), options_, pows_, symbols);
+}
+
+StabilityPoint SignificanceTracker::ScoreWindow(
+    int32_t window_index, const std::vector<Symbol>& symbols) const {
+  return kernel::ScoreWindow(View(), options_, pows_, window_index, symbols);
 }
 
 std::vector<Symbol> SignificanceTracker::SeenSymbols() const {
   std::vector<Symbol> symbols;
-  symbols.reserve(state_.num_seen);
+  symbols.reserve(scalars_.num_seen);
   // Dense scan in index order: already ascending, no sort needed.
-  for (size_t symbol = 0; symbol < state_.contain_counts.size(); ++symbol) {
-    if (state_.contain_counts[symbol] > 0) {
-      symbols.push_back(static_cast<Symbol>(symbol));
-    }
+  const std::span<const int32_t> counts =
+      blocks_.contain_counts.Span<const int32_t>();
+  for (size_t symbol = 0; symbol < counts.size(); ++symbol) {
+    if (counts[symbol] > 0) symbols.push_back(static_cast<Symbol>(symbol));
   }
   return symbols;
 }
 
 void SignificanceTracker::AdvanceWindow(
     const std::vector<Symbol>& window_symbols) {
-  kernel::AdvanceWindow(state_, options_, pows_,
-                        std::span<const Symbol>(window_symbols));
-}
-
-void SignificanceTracker::SaveState(BinaryWriter* writer) const {
-  kernel::TrackerSaveState(MutableState(), writer);
-}
-
-Status SignificanceTracker::LoadState(BinaryReader* reader) {
-  return kernel::TrackerLoadState(state_, reader);
+  kernel::AdvanceWindow(View(), options_, pows_, window_symbols);
 }
 
 }  // namespace core

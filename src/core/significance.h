@@ -2,11 +2,10 @@
 #define CHURNLAB_CORE_SIGNIFICANCE_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
-#include "common/binary_io.h"
 #include "common/result.h"
+#include "core/customer_state.h"
 #include "core/pow_cache.h"
 #include "core/window.h"
 
@@ -38,6 +37,22 @@ struct SignificanceOptions {
   double max_abs_exponent = 500.0;
   /// Memory of the kEwma variant, in (0, 1). Larger = longer memory.
   double ewma_lambda = 0.7;
+};
+
+/// Stability of one window of one customer.
+struct StabilityPoint {
+  int32_t window_index = 0;
+  /// Stability_i^k in [0, 1].
+  double stability = 1.0;
+  /// False when the significance table was empty (window 0, or no purchase
+  /// ever observed before this window). The paper's formula is 0/0 there;
+  /// we define stability = 1 — "no evidence of change" — and flag it so
+  /// evaluations can skip burn-in windows.
+  bool has_history = false;
+  /// Numerator sum_{p in u_k} S(p,k) and denominator sum_{p in I} S(p,k),
+  /// kept for diagnostics and tests.
+  double present_significance = 0.0;
+  double total_significance = 0.0;
 };
 
 /// \brief Incremental per-customer significance table (section 2 of the
@@ -73,18 +88,19 @@ struct SignificanceOptions {
 /// unreachable in the paper's regime (14 windows vs the default clamp of
 /// 500).
 ///
-/// Per-symbol state lives in dense Symbol-indexed vectors (symbols are
+/// Per-symbol state lives in arena blocks indexed by symbol (symbols are
 /// dense ids produced by SymbolMapper), and alpha powers are served from a
 /// memoised PowCache filled with the same ClampedPow the scan-based oracle
 /// uses, so per-symbol significances agree bit-for-bit with
 /// ReferenceSignificanceTracker, the test oracle in
 /// tests/support/significance_reference.h.
 ///
-/// The math itself lives in the storage-agnostic kernels of
-/// core/state_kernel.h, instantiated here over the nested State struct of
-/// plain vectors; the serving layer's state store instantiates the same
-/// kernels over its SoA columns and arena blocks, which keeps a stored
-/// customer bit-identical to a StabilityMonitor.
+/// The tracker owns one customer's CustomerScalars and CustomerBlocks and
+/// the BlockArena they grow in, and runs the kernels of core/state_kernel.h
+/// over them: the same compiled code the serving layer's state store runs
+/// over its shard columns. The scalars include the scorer's and monitor's
+/// fields, so OnlineStabilityScorer and StabilityMonitor keep all their
+/// state in the tracker they own. Move-only.
 ///
 /// Not thread-safe — including const accessors, which lazily extend the
 /// memoised power tables. Use one tracker per thread.
@@ -93,61 +109,6 @@ struct SignificanceOptions {
 /// windows 0..k-1), then call `AdvanceWindow(u_k)`.
 class SignificanceTracker {
  public:
-  /// This tracker's own storage behind the shared kernels: plain members
-  /// plus the accessor surface the TrackerState concept expects
-  /// (state_kernel.h).
-  struct State {
-    int32_t windows_seen = 0;
-    /// Number of symbols with c > 0.
-    uint32_t num_seen = 0;
-    /// sum_p alpha^(2c(p) - k), maintained incrementally while the clamp
-    /// cannot bite; stale (and unused) afterwards.
-    double incremental_total = 0.0;
-    /// kEwma: running total, via T_{k+1} = lambda * T_k + (1-lambda)*|u_k|.
-    double ewma_total = 0.0;
-    /// Dense per-symbol contain counts; index = symbol, 0 = never seen.
-    std::vector<int32_t> contain_counts;
-    /// contain_histogram[c] = number of symbols with contain count c
-    /// (c >= 1). Drives the exact clamped-regime total. kAlphaPower only.
-    std::vector<uint32_t> contain_histogram;
-    /// kEwma: lazily-decayed scores. The score of symbol s at the current
-    /// window k is ewma_values[s] * lambda^(k - ewma_stamps[s]), so
-    /// AdvanceWindow only touches present symbols instead of decaying the
-    /// whole table.
-    std::vector<double> ewma_values;
-    std::vector<int32_t> ewma_stamps;
-
-    int32_t& WindowsSeen() { return windows_seen; }
-    uint32_t& NumSeen() { return num_seen; }
-    double& IncrementalTotal() { return incremental_total; }
-    double& EwmaTotal() { return ewma_total; }
-    std::span<int32_t> ContainCounts() {
-      return {contain_counts.data(), contain_counts.size()};
-    }
-    std::span<int32_t> GrowContainCounts(size_t n) {
-      contain_counts.resize(n, 0);
-      return ContainCounts();
-    }
-    std::span<uint32_t> ContainHistogram() {
-      return {contain_histogram.data(), contain_histogram.size()};
-    }
-    std::span<uint32_t> GrowContainHistogram(size_t n) {
-      contain_histogram.resize(n, 0);
-      return ContainHistogram();
-    }
-    std::span<double> EwmaValues() {
-      return {ewma_values.data(), ewma_values.size()};
-    }
-    std::span<int32_t> EwmaStamps() {
-      return {ewma_stamps.data(), ewma_stamps.size()};
-    }
-    void GrowEwma(size_t n) {
-      ewma_values.resize(n, 0.0);
-      ewma_stamps.resize(n, 0);
-    }
-    void ClearTracker() { *this = State(); }
-  };
-
   explicit SignificanceTracker(SignificanceOptions options);
 
   /// Validates options (alpha > 0, max_abs_exponent >= 0).
@@ -173,6 +134,13 @@ class SignificanceTracker {
   /// numerator sum_{p in u_k} S(p,k).
   double PresentSignificance(const std::vector<Symbol>& symbols) const;
 
+  /// Stability of window `window_index` with sorted symbol set `symbols`,
+  /// scored against the current table: PresentSignificance over
+  /// TotalSignificance, 1.0 without history. The streaming classes close
+  /// their windows with the same function.
+  StabilityPoint ScoreWindow(int32_t window_index,
+                             const std::vector<Symbol>& symbols) const;
+
   /// All symbols with c > 0, ascending. (Stable ordering for reports.)
   std::vector<Symbol> SeenSymbols() const;
 
@@ -182,40 +150,37 @@ class SignificanceTracker {
   void AdvanceWindow(const std::vector<Symbol>& window_symbols);
 
   /// Number of windows folded in so far (the current k).
-  int32_t windows_seen() const { return state_.windows_seen; }
+  int32_t windows_seen() const { return scalars_.windows_seen; }
 
   const SignificanceOptions& options() const { return options_; }
 
-  /// Raw storage access for kernel instantiation by the streaming layers
-  /// (OnlineStabilityScorer, the serving layer's equivalence tests).
-  State& state() { return state_; }
-  const State& state() const { return state_; }
-  const PowCache& pows() const { return pows_; }
-
-  /// Serializes the dynamic state (counters and running totals; *not* the
-  /// options) to `writer`. Sparse encoding: only symbols with non-zero
-  /// state are written, so the cost is O(distinct symbols seen), not
-  /// O(symbol space). Floating-point accumulators are written as raw IEEE
-  /// bytes, so a LoadState'd tracker continues bit-identically to the
-  /// original.
-  void SaveState(BinaryWriter* writer) const;
-
-  /// Restores state written by SaveState into this tracker, replacing any
-  /// current state. The tracker must have been constructed with the same
-  /// options as the one that saved (the serving layer persists options in
-  /// its snapshot header and enforces this).
-  Status LoadState(BinaryReader* reader);
-
  private:
-  /// Query kernels take a mutable state (the state store's refs have no
-  /// const form); the members they touch never change on queries, and the
-  /// power tables are mutable by design.
-  State& MutableState() const {
-    return const_cast<SignificanceTracker*>(this)->state_;
+  friend class OnlineStabilityScorer;
+  friend class StabilityMonitor;
+
+  /// This customer's state as the kernels see it.
+  CustomerState View() const {
+    return {.windows_seen = scalars_.windows_seen,
+            .num_seen = scalars_.num_seen,
+            .incremental_total = scalars_.incremental_total,
+            .ewma_total = scalars_.ewma_total,
+            .current_window = scalars_.current_window,
+            .last_observed_day = scalars_.last_observed_day,
+            .last_stability = scalars_.last_stability,
+            .has_previous = scalars_.has_previous,
+            .low_streak = scalars_.low_streak,
+            .blocks = blocks_,
+            .arena = arena_};
   }
 
   SignificanceOptions options_;
-  State state_;
+  // Mutable because queries and updates share the one view type: const
+  // queries read through it and never write.
+  mutable CustomerScalars scalars_;
+  mutable CustomerBlocks blocks_;
+  /// One customer's blocks: no shared chunk, so each block is carved from
+  /// a chunk of exactly its size class.
+  mutable BlockArena arena_{0};
   PowCache pows_;
 };
 

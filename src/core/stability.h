@@ -10,22 +10,6 @@
 namespace churnlab {
 namespace core {
 
-/// Stability of one window of one customer.
-struct StabilityPoint {
-  int32_t window_index = 0;
-  /// Stability_i^k in [0, 1].
-  double stability = 1.0;
-  /// False when the significance table was empty (window 0, or no purchase
-  /// ever observed before this window). The paper's formula is 0/0 there;
-  /// we define stability = 1 — "no evidence of change" — and flag it so
-  /// evaluations can skip burn-in windows.
-  bool has_history = false;
-  /// Numerator sum_{p in u_k} S(p,k) and denominator sum_{p in I} S(p,k),
-  /// kept for diagnostics and tests.
-  double present_significance = 0.0;
-  double total_significance = 0.0;
-};
-
 /// A customer's stability series plus per-window context.
 struct StabilitySeries {
   std::vector<StabilityPoint> points;
@@ -82,18 +66,8 @@ StabilitySeries StabilityComputer::ComputeWithCallback(
   series.points.reserve(history.windows.size());
   SignificanceTracker tracker(options_);
   for (const Window& window : history.windows) {
-    StabilityPoint point;
-    point.window_index = window.index;
-    point.total_significance = tracker.TotalSignificance();
-    point.present_significance = tracker.PresentSignificance(window.symbols);
-    if (point.total_significance > 0.0) {
-      point.has_history = true;
-      point.stability =
-          point.present_significance / point.total_significance;
-    } else {
-      point.has_history = false;
-      point.stability = 1.0;
-    }
+    const StabilityPoint point =
+        tracker.ScoreWindow(window.index, window.symbols);
     on_window(window.index, tracker, window);
     series.points.push_back(point);
     tracker.AdvanceWindow(window.symbols);

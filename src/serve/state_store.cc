@@ -1,8 +1,6 @@
 #include "serve/state_store.h"
 
 #include <algorithm>
-#include <cstring>
-#include <span>
 #include <string>
 #include <utility>
 
@@ -20,66 +18,6 @@ namespace {
 // ---------------------------------------------------------------------------
 // Customer storage: SoA scalar columns + arena-backed variable-size blocks.
 // ---------------------------------------------------------------------------
-
-/// One variable-size array carved from the shard arena. `size` is the
-/// logical element count; `capacity_bytes` is the arena size class and must
-/// be passed back verbatim on release. 32-bit fields keep the handle (and
-/// the 5-handle BlockSet) small; per-customer blocks are bounded far below
-/// 4 GiB by the snapshot-load symbol caps.
-struct BlockHandle {
-  void* data = nullptr;
-  uint32_t size = 0;
-  uint32_t capacity_bytes = 0;
-
-  template <typename T>
-  std::span<T> Span() const {
-    return {static_cast<T*>(data), size};
-  }
-};
-
-/// The five growable arrays of one customer.
-struct BlockSet {
-  BlockHandle contain_counts;     // int32_t
-  BlockHandle contain_histogram;  // uint32_t
-  BlockHandle ewma_values;        // double
-  BlockHandle ewma_stamps;        // int32_t
-  BlockHandle current_symbols;    // core::Symbol
-
-  size_t CapacityBytes() const {
-    return size_t{contain_counts.capacity_bytes} +
-           contain_histogram.capacity_bytes + ewma_values.capacity_bytes +
-           ewma_stamps.capacity_bytes + current_symbols.capacity_bytes;
-  }
-};
-
-/// Ensures `h` can hold `n` elements of T, reallocating from the arena (the
-/// old block goes back to its size-class freelist). Leaves h->size alone.
-template <typename T>
-void EnsureBlockCapacity(BlockArena* arena, BlockHandle* h, size_t n) {
-  const size_t min_bytes = n * sizeof(T);
-  if (min_bytes <= h->capacity_bytes) return;
-  size_t capacity = 0;
-  void* fresh = arena->Allocate(min_bytes, &capacity);
-  if (h->size > 0) {
-    std::memcpy(fresh, h->data, size_t{h->size} * sizeof(T));
-  }
-  arena->Release(h->data, h->capacity_bytes);
-  h->data = fresh;
-  h->capacity_bytes = static_cast<uint32_t>(capacity);
-}
-
-/// Grows the logical size to `n`, zero-filling [old_size, n) — the same
-/// contract as resizing a value-initialized std::vector.
-template <typename T>
-std::span<T> GrowBlock(BlockArena* arena, BlockHandle* h, size_t n) {
-  EnsureBlockCapacity<T>(arena, h, n);
-  if (n > h->size) {
-    std::memset(static_cast<T*>(h->data) + h->size, 0,
-                (n - h->size) * sizeof(T));
-    h->size = static_cast<uint32_t>(n);
-  }
-  return h->Span<T>();
-}
 
 /// Parallel scalar columns, one entry per customer slot.
 struct CompactColumns {
@@ -123,19 +61,19 @@ struct CompactColumns {
     ForEachColumn([n](auto& column) { column.reserve(n); });
   }
 
-  /// Freshly-constructed per-customer defaults, matching the member
-  /// initializers of StabilityMonitor's nested State structs.
+  /// Appends a fresh customer: the member initializers of CustomerScalars.
   void AppendDefault(retail::CustomerId id) {
+    const core::CustomerScalars fresh;
     customer.push_back(id);
-    windows_seen.push_back(0);
-    num_seen.push_back(0);
-    incremental_total.push_back(0.0);
-    ewma_total.push_back(0.0);
-    current_window.push_back(0);
-    last_observed_day.push_back(-1);
-    last_stability.push_back(1.0);
-    has_previous.push_back(0);
-    low_streak.push_back(0);
+    windows_seen.push_back(fresh.windows_seen);
+    num_seen.push_back(fresh.num_seen);
+    incremental_total.push_back(fresh.incremental_total);
+    ewma_total.push_back(fresh.ewma_total);
+    current_window.push_back(fresh.current_window);
+    last_observed_day.push_back(fresh.last_observed_day);
+    last_stability.push_back(fresh.last_stability);
+    has_previous.push_back(fresh.has_previous);
+    low_streak.push_back(fresh.low_streak);
   }
 
   /// Truncates every column back to `n` entries. Exception-rollback path: a
@@ -162,114 +100,24 @@ constexpr size_t kCompactScalarBytesPerSlot =
 
 struct CompactStorage {
   CompactColumns cols;
-  std::vector<BlockSet> blocks;
+  std::vector<core::CustomerBlocks> blocks;
   BlockArena arena;
-};
 
-// Lightweight views satisfying the state concepts of core/state_kernel.h
-// over CompactStorage. The kernels they instantiate are the very same that
-// run inside StabilityMonitor, which is what keeps a stored customer's
-// alerts and snapshot bytes identical to a StabilityMonitor's.
-
-class CompactTrackerRef {
- public:
-  CompactTrackerRef(CompactStorage* s, size_t slot) : s_(s), slot_(slot) {}
-
-  int32_t& WindowsSeen() { return s_->cols.windows_seen[slot_]; }
-  uint32_t& NumSeen() { return s_->cols.num_seen[slot_]; }
-  double& IncrementalTotal() { return s_->cols.incremental_total[slot_]; }
-  double& EwmaTotal() { return s_->cols.ewma_total[slot_]; }
-  std::span<int32_t> ContainCounts() {
-    return blocks().contain_counts.Span<int32_t>();
+  /// The kernels' view of the customer at `slot`: its column entries, its
+  /// blocks and the shard arena. Valid until the next append.
+  core::CustomerState At(size_t slot) {
+    return {.windows_seen = cols.windows_seen[slot],
+            .num_seen = cols.num_seen[slot],
+            .incremental_total = cols.incremental_total[slot],
+            .ewma_total = cols.ewma_total[slot],
+            .current_window = cols.current_window[slot],
+            .last_observed_day = cols.last_observed_day[slot],
+            .last_stability = cols.last_stability[slot],
+            .has_previous = cols.has_previous[slot],
+            .low_streak = cols.low_streak[slot],
+            .blocks = blocks[slot],
+            .arena = arena};
   }
-  std::span<uint32_t> ContainHistogram() {
-    return blocks().contain_histogram.Span<uint32_t>();
-  }
-  std::span<double> EwmaValues() {
-    return blocks().ewma_values.Span<double>();
-  }
-  std::span<int32_t> EwmaStamps() {
-    return blocks().ewma_stamps.Span<int32_t>();
-  }
-  std::span<int32_t> GrowContainCounts(size_t n) {
-    return GrowBlock<int32_t>(&s_->arena, &blocks().contain_counts, n);
-  }
-  std::span<uint32_t> GrowContainHistogram(size_t n) {
-    return GrowBlock<uint32_t>(&s_->arena, &blocks().contain_histogram, n);
-  }
-  void GrowEwma(size_t n) {
-    GrowBlock<double>(&s_->arena, &blocks().ewma_values, n);
-    GrowBlock<int32_t>(&s_->arena, &blocks().ewma_stamps, n);
-  }
-  void ClearTracker() {
-    WindowsSeen() = 0;
-    NumSeen() = 0;
-    IncrementalTotal() = 0.0;
-    EwmaTotal() = 0.0;
-    // Blocks keep their capacity (GrowBlock zero-fills on regrowth).
-    BlockSet& b = blocks();
-    b.contain_counts.size = 0;
-    b.contain_histogram.size = 0;
-    b.ewma_values.size = 0;
-    b.ewma_stamps.size = 0;
-  }
-
- private:
-  BlockSet& blocks() { return s_->blocks[slot_]; }
-
-  CompactStorage* s_;
-  size_t slot_;
-};
-
-class CompactScorerRef {
- public:
-  CompactScorerRef(CompactStorage* s, size_t slot) : s_(s), slot_(slot) {}
-
-  std::span<const core::Symbol> CurrentSymbols() const {
-    return s_->blocks[slot_].current_symbols.Span<const core::Symbol>();
-  }
-  void InsertCurrentSymbol(size_t pos, core::Symbol symbol) {
-    BlockHandle& h = s_->blocks[slot_].current_symbols;
-    const size_t old_size = h.size;
-    EnsureBlockCapacity<core::Symbol>(&s_->arena, &h, old_size + 1);
-    auto* data = static_cast<core::Symbol*>(h.data);
-    std::memmove(data + pos + 1, data + pos,
-                 (old_size - pos) * sizeof(core::Symbol));
-    data[pos] = symbol;
-    h.size = static_cast<uint32_t>(old_size + 1);
-  }
-  void AppendCurrentSymbol(core::Symbol symbol) {
-    BlockHandle& h = s_->blocks[slot_].current_symbols;
-    EnsureBlockCapacity<core::Symbol>(&s_->arena, &h, size_t{h.size} + 1);
-    static_cast<core::Symbol*>(h.data)[h.size] = symbol;
-    ++h.size;
-  }
-  void ReserveCurrentSymbols(size_t n) {
-    EnsureBlockCapacity<core::Symbol>(&s_->arena,
-                                      &s_->blocks[slot_].current_symbols, n);
-  }
-  void ClearCurrentSymbols() { s_->blocks[slot_].current_symbols.size = 0; }
-  int32_t& CurrentWindow() { return s_->cols.current_window[slot_]; }
-  retail::Day& LastObservedDay() {
-    return s_->cols.last_observed_day[slot_];
-  }
-
- private:
-  CompactStorage* s_;
-  size_t slot_;
-};
-
-class CompactMonitorRef {
- public:
-  CompactMonitorRef(CompactStorage* s, size_t slot) : s_(s), slot_(slot) {}
-
-  double& LastStability() { return s_->cols.last_stability[slot_]; }
-  uint8_t& HasPrevious() { return s_->cols.has_previous[slot_]; }
-  int32_t& LowStreak() { return s_->cols.low_streak[slot_]; }
-
- private:
-  CompactStorage* s_;
-  size_t slot_;
 };
 
 /// Estimated footprint of the id -> slot index (nodes + bucket array).
@@ -354,30 +202,22 @@ retail::CustomerId CustomerStateStore::CustomerRef::customer() const {
 Result<std::vector<core::StabilityAlert>>
 CustomerStateStore::CustomerRef::Observe(
     retail::Day day, const std::vector<core::Symbol>& symbols) {
-  CompactTrackerRef ts(&shard_->compact, slot_);
-  CompactScorerRef ss(&shard_->compact, slot_);
-  CompactMonitorRef ms(&shard_->compact, slot_);
   return core::kernel::MonitorObserve(
-      ts, ss, ms, store_->options_.scorer, store_->options_.policy,
-      shard_->pows, day, std::span<const core::Symbol>(symbols));
+      shard_->compact.At(slot_), store_->options_.scorer,
+      store_->options_.policy, shard_->pows, day, symbols);
 }
 
 Result<std::vector<core::StabilityAlert>>
 CustomerStateStore::CustomerRef::AdvanceTo(retail::Day day) {
-  CompactTrackerRef ts(&shard_->compact, slot_);
-  CompactScorerRef ss(&shard_->compact, slot_);
-  CompactMonitorRef ms(&shard_->compact, slot_);
-  return core::kernel::MonitorAdvanceTo(ts, ss, ms, store_->options_.scorer,
-                                        store_->options_.policy,
-                                        shard_->pows, day);
+  return core::kernel::MonitorAdvanceTo(
+      shard_->compact.At(slot_), store_->options_.scorer,
+      store_->options_.policy, shard_->pows, day);
 }
 
 Result<std::vector<core::StabilityAlert>>
 CustomerStateStore::CustomerRef::Finish() {
-  CompactTrackerRef ts(&shard_->compact, slot_);
-  CompactScorerRef ss(&shard_->compact, slot_);
-  CompactMonitorRef ms(&shard_->compact, slot_);
-  return core::kernel::MonitorFinish(ts, ss, ms, store_->options_.scorer,
+  return core::kernel::MonitorFinish(shard_->compact.At(slot_),
+                                     store_->options_.scorer,
                                      store_->options_.policy, shard_->pows);
 }
 
@@ -386,7 +226,7 @@ double CustomerStateStore::CustomerRef::last_stability() const {
 }
 
 size_t CustomerStateStore::CustomerRef::MemoryUsage() const {
-  return kCompactScalarBytesPerSlot + sizeof(BlockSet) +
+  return kCompactScalarBytesPerSlot + sizeof(core::CustomerBlocks) +
          shard_->compact.blocks[slot_].CapacityBytes();
 }
 
@@ -464,10 +304,7 @@ void CustomerStateStore::SaveShardState(size_t shard,
   writer->WriteVarint(s.compact.cols.size());
   for (size_t slot = 0; slot < s.compact.cols.size(); ++slot) {
     writer->WriteVarint(s.compact.cols.customer[slot]);
-    CompactTrackerRef ts(&s.compact, slot);
-    CompactScorerRef ss(&s.compact, slot);
-    CompactMonitorRef ms(&s.compact, slot);
-    core::kernel::MonitorSaveState(ts, ss, ms, writer);
+    core::kernel::MonitorSaveState(s.compact.At(slot), writer);
   }
 }
 
@@ -509,11 +346,8 @@ Status CustomerStateStore::LoadShardState(size_t shard,
     }
     compact.cols.AppendDefault(customer);
     compact.blocks.emplace_back();
-    CompactTrackerRef ts(&compact, i);
-    CompactScorerRef ss(&compact, i);
-    CompactMonitorRef ms(&compact, i);
-    CHURNLAB_RETURN_NOT_OK(
-        core::kernel::MonitorLoadState(ts, ss, ms, options_.policy, reader));
+    CHURNLAB_RETURN_NOT_OK(core::kernel::MonitorLoadState(
+        compact.At(i), options_.policy, reader));
   }
   s.index = std::move(index);
   s.compact = std::move(compact);
@@ -526,8 +360,9 @@ StateMemoryStats CustomerStateStore::ShardMemoryUsage(size_t shard) const {
   StateMemoryStats stats;
   stats.index_bytes = IndexMemoryUsage(s.index);
   stats.customers = s.compact.cols.size();
-  stats.scalar_bytes = s.compact.cols.CapacityBytes() +
-                       s.compact.blocks.capacity() * sizeof(BlockSet);
+  stats.scalar_bytes =
+      s.compact.cols.CapacityBytes() +
+      s.compact.blocks.capacity() * sizeof(core::CustomerBlocks);
   stats.block_bytes = s.compact.arena.bytes_in_use();
   stats.arena_reserved_bytes = s.compact.arena.bytes_reserved();
   stats.shared_bytes = s.pows.MemoryUsage();

@@ -77,8 +77,9 @@ struct StateMemoryStats {
 /// plus alerting policy), physically stored as structure-of-arrays scalar
 /// columns plus arena-backed blocks for the variable-size per-symbol
 /// counters, with one shared power-table cache per shard. The kernels of
-/// core/state_kernel.h run over that storage, the same code that runs
-/// inside StabilityMonitor. Customers live in `num_shards` shards, each
+/// core/state_kernel.h run over a core::CustomerState view of that
+/// storage: the same compiled code that runs inside StabilityMonitor.
+/// Customers live in `num_shards` shards, each
 /// with one mutex, an id -> slot index, and slot storage in creation
 /// order. The ScoringFleet partitions batches by
 /// shard and processes each shard sequentially under its lock, so two

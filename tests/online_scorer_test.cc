@@ -102,6 +102,36 @@ TEST(OnlineStabilityScorer, InvalidSymbolsDropped) {
   EXPECT_FALSE(point.has_history);
 }
 
+TEST(OnlineStabilityScorer, RejectsInputsBeyondTheSnapshotCaps) {
+  // A saved state holding a symbol at 2^24, or more than 2^20 windows,
+  // would not load back, so the scorer refuses to build one.
+  auto scorer = OnlineStabilityScorer::Make(TwoMonthOptions()).ValueOrDie();
+  ASSERT_TRUE(scorer.Observe(5, {1}).ok());
+  ASSERT_TRUE(scorer.Observe(130, {1}).ok());
+  ASSERT_EQ(scorer.current_window(), 2);
+  ASSERT_EQ(scorer.windows_emitted(), 2);
+
+  const Symbol past_symbol_space = Symbol{1} << 24;
+  const retail::Day past_horizon = 60 * (retail::Day{1} << 20);
+  EXPECT_TRUE(scorer.Observe(200, {3, past_symbol_space})
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(scorer.Observe(past_horizon, {1}).status().IsInvalidArgument());
+  EXPECT_TRUE(scorer.AdvanceTo(past_horizon).status().IsInvalidArgument());
+  EXPECT_TRUE(scorer.AdvanceTo(INT32_MAX).status().IsInvalidArgument());
+  EXPECT_EQ(scorer.current_window(), 2);
+  EXPECT_EQ(scorer.windows_emitted(), 2);
+
+  // Nothing moved: day 130's window still closes with symbol 1 present.
+  const auto emitted = scorer.Observe(200, {3}).ValueOrDie();
+  ASSERT_EQ(emitted.size(), 1u);
+  EXPECT_EQ(emitted[0].window_index, 2);
+  EXPECT_GT(emitted[0].present_significance, 0.0);
+  // The last window below the horizon is still accepted.
+  EXPECT_TRUE(scorer.AdvanceTo(past_horizon - 1).ok());
+  EXPECT_EQ(scorer.current_window(), (1 << 20) - 1);
+}
+
 // The load-bearing property: streaming results are identical to the batch
 // Windower + StabilityComputer pipeline on the same receipts.
 class OnlineBatchEquivalenceTest

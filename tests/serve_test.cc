@@ -44,6 +44,12 @@ FleetOptions SmallFleetOptions() {
   return options;
 }
 
+std::string SnapshotOf(const ScoringFleet& fleet) {
+  BinaryWriter writer;
+  EXPECT_TRUE(fleet.SaveSnapshot(&writer).ok());
+  return writer.buffer();
+}
+
 Receipt MakeReceipt(CustomerId customer, Day day,
                     std::vector<retail::ItemId> items) {
   Receipt receipt;
@@ -278,6 +284,39 @@ TEST(ScoringFleet, IngestQuarantinesInvalidCustomerAndStaleReceipt) {
   EXPECT_TRUE(report.rejected[0].reason.IsInvalidArgument());
 }
 
+TEST(ScoringFleet, QuarantinesReceiptsBeyondTheSnapshotCaps) {
+  // Product granularity maps an item id straight to a symbol. An item at
+  // 2^24, or a day past the 2^20-window horizon, would build state the
+  // snapshot loader rejects; both are quarantined before any mutation.
+  auto fleet = ScoringFleet::Make(SmallFleetOptions(), nullptr).ValueOrDie();
+  const Day past_horizon = 30 * (Day{1} << 20);
+  std::vector<Receipt> batch;
+  batch.push_back(MakeReceipt(1, 0, {1}));
+  batch.push_back(MakeReceipt(1, 10, {2, retail::ItemId{1} << 24}));
+  batch.push_back(MakeReceipt(2, past_horizon, {1}));
+  batch.push_back(MakeReceipt(2, 20, {1, 2}));
+  const auto report = fleet.IngestBatch(batch).ValueOrDie();
+  EXPECT_EQ(report.receipts_ingested, 2u);
+  ASSERT_EQ(report.rejected.size(), 2u);
+  EXPECT_EQ(report.rejected[0].batch_index, 1u);
+  EXPECT_EQ(report.rejected[1].batch_index, 2u);
+  for (const RejectedReceipt& rejected : report.rejected) {
+    EXPECT_TRUE(rejected.reason.IsInvalidArgument());
+  }
+
+  // What was accepted round-trips and continues with identical bytes.
+  const std::string snapshot = SnapshotOf(fleet);
+  BinaryReader reader(snapshot);
+  auto restored = ScoringFleet::Restore(&reader, nullptr).ValueOrDie();
+  EXPECT_EQ(SnapshotOf(restored), snapshot);
+  std::vector<Receipt> more;
+  more.push_back(MakeReceipt(1, 100, {1}));
+  more.push_back(MakeReceipt(2, 100, {3}));
+  ASSERT_TRUE(fleet.IngestBatch(more).ok());
+  ASSERT_TRUE(restored.IngestBatch(more).ok());
+  EXPECT_EQ(SnapshotOf(restored), SnapshotOf(fleet));
+}
+
 TEST(ScoringFleet, IngestFailsHardWithQuarantineDisabled) {
   // quarantine_malformed = false restores the strict pre-quarantine
   // contract: any malformed receipt fails the batch.
@@ -336,12 +375,6 @@ TEST(ScoringFleet, FinishAllOnEmptyFleetIsANoOp) {
 }
 
 // --- snapshot robustness ---------------------------------------------------
-
-std::string SnapshotOf(const ScoringFleet& fleet) {
-  BinaryWriter writer;
-  EXPECT_TRUE(fleet.SaveSnapshot(&writer).ok());
-  return writer.buffer();
-}
 
 ScoringFleet FleetWithSomeState() {
   auto fleet = ScoringFleet::Make(SmallFleetOptions(), nullptr).ValueOrDie();
