@@ -138,13 +138,13 @@ bool IncrementalTotalExact(int32_t windows_seen,
 double HistogramTotal(const CustomerState& state, const PowCache& pows) {
   const std::span<const uint32_t> histogram =
       state.blocks.contain_histogram.Span<const uint32_t>();
+  const int32_t windows_seen = state.windows_seen;
   double total = 0.0;
   for (size_t count = 1; count < histogram.size(); ++count) {
     const uint32_t symbols = histogram[count];
     if (symbols == 0) continue;
     total += static_cast<double>(symbols) *
-             pows.PowAlpha(2 * static_cast<int64_t>(count) -
-                           state.windows_seen);
+             pows.PowAlpha(2 * static_cast<int64_t>(count) - windows_seen);
   }
   return total;
 }
@@ -190,6 +190,67 @@ StabilityPoint CloseCurrentWindow(const CustomerState& state,
   state.blocks.current_symbols.size = 0;
   ++state.current_window;
   return point;
+}
+
+/// Closes every window before the one containing `day` into `emitted`.
+/// A rejected day changes nothing.
+Status AdvanceInto(const CustomerState& state,
+                   const OnlineStabilityScorer::Options& options,
+                   const PowCache& pows, retail::Day day,
+                   std::vector<StabilityPoint>* emitted) {
+  if (day < options.origin_day) {
+    return Status::InvalidArgument("day precedes the window origin");
+  }
+  if (day < state.last_observed_day) {
+    return Status::InvalidArgument(
+        "stream is not chronological: day " + std::to_string(day) +
+        " after day " + std::to_string(state.last_observed_day));
+  }
+  const int32_t target_window =
+      (day - options.origin_day) / options.window_span_days;
+  // A saved state with more windows would not load back.
+  if (static_cast<uint64_t>(target_window) >= kMaxWindowsSeen) {
+    return Status::InvalidArgument(
+        "day " + std::to_string(day) + " falls in window " +
+        std::to_string(target_window) + ", beyond the 2^20-window horizon");
+  }
+  state.last_observed_day = day;
+  while (state.current_window < target_window) {
+    emitted->push_back(CloseCurrentWindow(state, options.significance, pows));
+  }
+  RecordEmittedWindows(emitted->size());
+  return Status::OK();
+}
+
+/// Feeds one observation, closing windows into `emitted`. A rejected
+/// observation changes nothing.
+Status ObserveInto(const CustomerState& state,
+                   const OnlineStabilityScorer::Options& options,
+                   const PowCache& pows, retail::Day day,
+                   std::span<const Symbol> symbols,
+                   std::vector<StabilityPoint>* emitted) {
+  obs::ScopedLatency latency(ObserveLatencyHistogram());
+  // A saved state holding such a symbol would not load back.
+  for (const Symbol symbol : symbols) {
+    if (symbol != kInvalidSymbol && symbol >= kMaxSymbolSpace) {
+      return Status::InvalidArgument("symbol " + std::to_string(symbol) +
+                                     " is beyond the 2^24-symbol space");
+    }
+  }
+  CHURNLAB_RETURN_NOT_OK(AdvanceInto(state, options, pows, day, emitted));
+  // Merge the observation into the current window's sorted union.
+  const BlockHandle& current = state.blocks.current_symbols;
+  for (const Symbol symbol : symbols) {
+    if (symbol == kInvalidSymbol) continue;
+    const Symbol* begin = static_cast<const Symbol*>(current.data);
+    const Symbol* end = begin + current.size;
+    const Symbol* it = std::lower_bound(begin, end, symbol);
+    if (it == end || *it != symbol) {
+      InsertCurrentSymbol(state, static_cast<size_t>(it - begin), symbol);
+    }
+  }
+  ObservationsCounter()->Increment();
+  return Status::OK();
 }
 
 std::vector<StabilityAlert> Evaluate(const CustomerState& state,
@@ -546,58 +607,17 @@ void AdvanceWindow(const CustomerState& state,
 Result<std::vector<StabilityPoint>> ScorerAdvanceTo(
     const CustomerState& state, const OnlineStabilityScorer::Options& options,
     const PowCache& pows, retail::Day day) {
-  if (day < options.origin_day) {
-    return Status::InvalidArgument("day precedes the window origin");
-  }
-  if (day < state.last_observed_day) {
-    return Status::InvalidArgument(
-        "stream is not chronological: day " + std::to_string(day) +
-        " after day " + std::to_string(state.last_observed_day));
-  }
-  const int32_t target_window =
-      (day - options.origin_day) / options.window_span_days;
-  // A saved state with more windows would not load back.
-  if (static_cast<uint64_t>(target_window) >= kMaxWindowsSeen) {
-    return Status::InvalidArgument(
-        "day " + std::to_string(day) + " falls in window " +
-        std::to_string(target_window) + ", beyond the 2^20-window horizon");
-  }
-  state.last_observed_day = day;
   std::vector<StabilityPoint> emitted;
-  while (state.current_window < target_window) {
-    emitted.push_back(
-        CloseCurrentWindow(state, options.significance, pows));
-  }
-  RecordEmittedWindows(emitted.size());
+  CHURNLAB_RETURN_NOT_OK(AdvanceInto(state, options, pows, day, &emitted));
   return emitted;
 }
 
 Result<std::vector<StabilityPoint>> ScorerObserve(
     const CustomerState& state, const OnlineStabilityScorer::Options& options,
     const PowCache& pows, retail::Day day, std::span<const Symbol> symbols) {
-  obs::ScopedLatency latency(ObserveLatencyHistogram());
-  // Checked before any mutation; a saved state holding such a symbol would
-  // not load back.
-  for (const Symbol symbol : symbols) {
-    if (symbol != kInvalidSymbol && symbol >= kMaxSymbolSpace) {
-      return Status::InvalidArgument("symbol " + std::to_string(symbol) +
-                                     " is beyond the 2^24-symbol space");
-    }
-  }
-  CHURNLAB_ASSIGN_OR_RETURN(std::vector<StabilityPoint> emitted,
-                            ScorerAdvanceTo(state, options, pows, day));
-  // Merge the observation into the current window's sorted union.
-  const BlockHandle& current = state.blocks.current_symbols;
-  for (const Symbol symbol : symbols) {
-    if (symbol == kInvalidSymbol) continue;
-    const Symbol* begin = static_cast<const Symbol*>(current.data);
-    const Symbol* end = begin + current.size;
-    const Symbol* it = std::lower_bound(begin, end, symbol);
-    if (it == end || *it != symbol) {
-      InsertCurrentSymbol(state, static_cast<size_t>(it - begin), symbol);
-    }
-  }
-  ObservationsCounter()->Increment();
+  std::vector<StabilityPoint> emitted;
+  CHURNLAB_RETURN_NOT_OK(
+      ObserveInto(state, options, pows, day, symbols, &emitted));
   return emitted;
 }
 
@@ -627,17 +647,17 @@ Result<std::vector<StabilityAlert>> MonitorObserve(
     const CustomerState& state, const OnlineStabilityScorer::Options& options,
     const MonitorPolicy& policy, const PowCache& pows, retail::Day day,
     std::span<const Symbol> symbols) {
-  CHURNLAB_ASSIGN_OR_RETURN(
-      const std::vector<StabilityPoint> points,
-      ScorerObserve(state, options, pows, day, symbols));
+  std::vector<StabilityPoint> points;
+  CHURNLAB_RETURN_NOT_OK(
+      ObserveInto(state, options, pows, day, symbols, &points));
   return Evaluate(state, policy, points);
 }
 
 Result<std::vector<StabilityAlert>> MonitorAdvanceTo(
     const CustomerState& state, const OnlineStabilityScorer::Options& options,
     const MonitorPolicy& policy, const PowCache& pows, retail::Day day) {
-  CHURNLAB_ASSIGN_OR_RETURN(const std::vector<StabilityPoint> points,
-                            ScorerAdvanceTo(state, options, pows, day));
+  std::vector<StabilityPoint> points;
+  CHURNLAB_RETURN_NOT_OK(AdvanceInto(state, options, pows, day, &points));
   return Evaluate(state, policy, points);
 }
 
