@@ -20,7 +20,7 @@ PowCache::PowCache(double alpha, double max_abs_exponent, double ewma_lambda)
       max_abs_exponent_(max_abs_exponent),
       ewma_lambda_(ewma_lambda) {}
 
-double PowCache::PowAlpha(int64_t exponent) const {
+double PowCache::FillAlpha(int64_t exponent) const {
   if (std::llabs(exponent) > kMaxMemoisedExponent) {
     return ClampedPow(alpha_, static_cast<double>(exponent),
                       max_abs_exponent_);
@@ -38,7 +38,7 @@ double PowCache::PowAlpha(int64_t exponent) const {
   return table[index];
 }
 
-double PowCache::PowLambda(int32_t exponent) const {
+double PowCache::FillLambda(int32_t exponent) const {
   if (lambda_pow_.empty()) lambda_pow_.push_back(1.0);
   while (lambda_pow_.size() <= static_cast<size_t>(exponent)) {
     lambda_pow_.push_back(lambda_pow_.back() * ewma_lambda_);

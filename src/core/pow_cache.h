@@ -26,16 +26,32 @@ class PowCache {
   /// alpha^exponent with the max_abs_exponent clamp, memoised per integer
   /// exponent; exponents beyond the memo horizon are served by a direct
   /// ClampedPow call instead of growing the tables without bound.
-  double PowAlpha(int64_t exponent) const;
+  double PowAlpha(int64_t exponent) const {
+    const std::vector<double>& table =
+        exponent >= 0 ? alpha_pow_pos_ : alpha_pow_neg_;
+    const uint64_t index = static_cast<uint64_t>(
+        exponent >= 0 ? exponent : -exponent);
+    return index < table.size() ? table[index] : FillAlpha(exponent);
+  }
 
   /// lambda^exponent (exponent >= 0), memoised by repeated multiplication —
   /// the same product chain the eager per-window decay would perform.
-  double PowLambda(int32_t exponent) const;
+  double PowLambda(int32_t exponent) const {
+    const auto index = static_cast<size_t>(exponent);
+    return index < lambda_pow_.size() ? lambda_pow_[index]
+                                      : FillLambda(exponent);
+  }
 
   /// Heap bytes held by the memo tables (excluding sizeof(*this)).
   size_t MemoryUsage() const;
 
  private:
+  /// Memo misses: extend the tables (or compute directly past the horizon).
+  /// Hits are served inline above, so the kernels' per-symbol loops make
+  /// no call on the common path.
+  double FillAlpha(int64_t exponent) const;
+  double FillLambda(int32_t exponent) const;
+
   double alpha_;
   double max_abs_exponent_;
   double ewma_lambda_;
