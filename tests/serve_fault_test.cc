@@ -104,14 +104,16 @@ std::string Describe(const BatchReport& report) {
   return out;
 }
 
-/// Replays FaultStream in 30-day batches; returns the concatenated report
+/// Replays FaultStream in 30-day batches, then arms `finish_spec` (when
+/// set) for the closing FinishAll sweep; returns the concatenated report
 /// descriptions and the final snapshot.
 struct ReplayOutput {
   std::string reports;
   std::string snapshot;
 };
 
-ReplayOutput Replay(FleetOptions options) {
+ReplayOutput Replay(FleetOptions options,
+                    const char* finish_spec = nullptr) {
   ReplayOutput output;
   auto fleet = ScoringFleet::Make(options, nullptr).ValueOrDie();
   const std::vector<Receipt> stream = FaultStream();
@@ -127,6 +129,9 @@ ReplayOutput Replay(FleetOptions options) {
             .ValueOrDie();
     output.reports += Describe(report);
     begin = end;
+  }
+  if (finish_spec != nullptr) {
+    EXPECT_TRUE(FailpointRegistry::Global().ArmFromSpec(finish_spec).ok());
   }
   output.reports += Describe(fleet.FinishAll().ValueOrDie());
   output.snapshot = SnapshotOf(fleet);
@@ -158,6 +163,24 @@ TEST_F(ServeFaultTest, TransientReceiptFaultOutputIsByteIdentical) {
 }
 
 TEST_F(ServeFaultTest, TransientShardTaskThrowIsByteIdentical) {
+  const Failpoint* const site =
+      FailpointRegistry::Global().Get("serve.shard.task");
+  // One task per shard with work: an ingest touching one customer hits the
+  // site once, a FinishAll sweep once per shard (8).
+  {
+    ASSERT_TRUE(FailpointRegistry::Global()
+                    .ArmFromSpec("serve.shard.task=throw@nth(1000)")
+                    .ok());
+    auto fleet =
+        ScoringFleet::Make(FaultFleetOptions(), nullptr).ValueOrDie();
+    const std::vector<Receipt> one = {MakeReceipt(1, 0, {1})};
+    ASSERT_TRUE(fleet.IngestBatch(one).ok());
+    EXPECT_EQ(site->hits(), 1u);
+    ASSERT_TRUE(fleet.FinishAll().ok());
+    EXPECT_EQ(site->hits(), 9u);
+    FailpointRegistry::Global().DisarmAll();
+  }
+
   const ReplayOutput clean = Replay(FaultFleetOptions());
   ASSERT_TRUE(FailpointRegistry::Global()
                   .ArmFromSpec("serve.shard.task=throw@nth(1)")
@@ -165,9 +188,23 @@ TEST_F(ServeFaultTest, TransientShardTaskThrowIsByteIdentical) {
   FleetOptions faulty = FaultFleetOptions();
   faulty.shard_retry.initial_backoff_ms = 0.0;
   const ReplayOutput with_faults = Replay(faulty);
-  EXPECT_EQ(FailpointRegistry::Global().Get("serve.shard.task")->fires(), 1u);
+  EXPECT_EQ(site->fires(), 1u);
   EXPECT_EQ(with_faults.reports, clean.reports);
   EXPECT_EQ(with_faults.snapshot, clean.snapshot);
+  FailpointRegistry::Global().DisarmAll();
+
+  // The same throw inside the FinishAll sweep: the retried shard task
+  // resumes after the last swept customer.
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    FleetOptions sweep_faulty = FaultFleetOptions(threads);
+    sweep_faulty.shard_retry.initial_backoff_ms = 0.0;
+    const ReplayOutput sweep_faults =
+        Replay(sweep_faulty, "serve.shard.task=throw@nth(2)");
+    EXPECT_EQ(site->fires(), 1u) << threads << " threads";
+    FailpointRegistry::Global().DisarmAll();
+    EXPECT_EQ(sweep_faults.reports, clean.reports) << threads << " threads";
+    EXPECT_EQ(sweep_faults.snapshot, clean.snapshot) << threads << " threads";
+  }
 }
 
 // --- persistent faults degrade gracefully ----------------------------------
@@ -185,26 +222,46 @@ TEST_F(ServeFaultTest, BatchFailpointFailsTheCall) {
 }
 
 TEST_F(ServeFaultTest, PersistentFaultPoisonsOneShardDeterministically) {
-  // A keyed, always-firing fault pinned to customer 5: its shard exhausts
-  // its retries and is poisoned; every other shard keeps serving. The
-  // quarantine and poison reports must be identical for 1, 4, and 16
-  // threads.
-  std::vector<std::string> outputs;
-  for (const size_t threads : {size_t{1}, size_t{4}, size_t{16}}) {
-    ASSERT_TRUE(FailpointRegistry::Global()
-                    .ArmFromSpec("serve.ingest.receipt=error@key(5)")
-                    .ok());
-    FleetOptions options = FaultFleetOptions(threads);
-    options.shard_retry.max_retries = 2;
-    options.shard_retry.initial_backoff_ms = 0.0;
-    const ReplayOutput output = Replay(options);
-    FailpointRegistry::Global().DisarmAll();
-    outputs.push_back(output.reports + "---\n" + output.snapshot);
+  // A keyed, always-firing fault pinned to customer 5 during ingest, or to
+  // shard 3 during the closing FinishAll: that shard exhausts its retries
+  // and is poisoned; every other shard keeps serving. The quarantine and
+  // poison reports must be identical for 1, 4, and 16 threads.
+  const struct {
+    const char* ingest_spec;
+    const char* finish_spec;
+  } cases[] = {{"serve.ingest.receipt=error@key(5)", nullptr},
+               {nullptr, "serve.shard.task=error@key(3)"}};
+  for (const auto& fault : cases) {
+    std::vector<std::string> outputs;
+    for (const size_t threads : {size_t{1}, size_t{4}, size_t{16}}) {
+      if (fault.ingest_spec != nullptr) {
+        ASSERT_TRUE(
+            FailpointRegistry::Global().ArmFromSpec(fault.ingest_spec).ok());
+      }
+      FleetOptions options = FaultFleetOptions(threads);
+      options.shard_retry.max_retries = 2;
+      options.shard_retry.initial_backoff_ms = 0.0;
+      const ReplayOutput output = Replay(options, fault.finish_spec);
+      FailpointRegistry::Global().DisarmAll();
+      outputs.push_back(output.reports + "---\n" + output.snapshot);
+    }
+    EXPECT_EQ(outputs[0], outputs[1]);
+    EXPECT_EQ(outputs[0], outputs[2]);
+    const std::string reports =
+        outputs[0].substr(0, outputs[0].find("---\n"));
+    if (fault.ingest_spec != nullptr) {
+      EXPECT_NE(reports.find("poisoned"), std::string::npos);
+      EXPECT_NE(reports.find("rejected"), std::string::npos);
+    } else {
+      // Only shard 3, reported once (by the sweep itself), nothing
+      // quarantined.
+      const size_t first = reports.find("poisoned ");
+      ASSERT_NE(first, std::string::npos);
+      EXPECT_EQ(reports.compare(first, 11, "poisoned 3:"), 0) << reports;
+      EXPECT_EQ(reports.find("poisoned ", first + 1), std::string::npos);
+      EXPECT_EQ(reports.find("rejected"), std::string::npos);
+    }
   }
-  EXPECT_EQ(outputs[0], outputs[1]);
-  EXPECT_EQ(outputs[0], outputs[2]);
-  EXPECT_NE(outputs[0].find("poisoned"), std::string::npos);
-  EXPECT_NE(outputs[0].find("rejected"), std::string::npos);
 }
 
 TEST_F(ServeFaultTest, PoisonedShardStaysOutOfServiceAndReportsHealth) {
