@@ -67,6 +67,11 @@ bool AlertLess(const FleetAlert& a, const FleetAlert& b) {
                                            b.alert.kind);
 }
 
+bool RejectedLess(const RejectedReceipt& a, const RejectedReceipt& b) {
+  return std::tie(a.batch_index, a.customer) <
+         std::tie(b.batch_index, b.customer);
+}
+
 constexpr size_t kUnsetCount = ~size_t{0};
 
 /// Per-shard scratch for one fleet operation. Mutated only by the shard's
@@ -75,6 +80,8 @@ constexpr size_t kUnsetCount = ~size_t{0};
 /// double-ingesting.
 struct ShardOutput {
   Status status = Status::OK();
+  /// Set by Reject with quarantine off; fails the operation, unretried.
+  Status item_error = Status::OK();
   std::vector<FleetAlert> alerts;
   std::vector<RejectedReceipt> rejected;
   size_t receipts = 0;
@@ -87,6 +94,44 @@ struct ShardOutput {
   /// Shard population before the first attempt touched it.
   size_t customers_before = kUnsetCount;
 };
+
+/// Settles an item whose own input is rejected (an invalid customer id, or
+/// a day the customer's stream rejects): with quarantine on it is recorded
+/// and the shard goes on; with it off its error fails the operation and
+/// the shard stops. Returns whether the shard goes on.
+bool Reject(bool quarantine, RejectedReceipt rejected, ShardOutput* out) {
+  if (!quarantine) {
+    out->item_error = std::move(rejected.reason);
+    return false;
+  }
+  out->rejected.push_back(std::move(rejected));
+  return true;
+}
+
+/// The shard step of a whole-fleet sweep: `op` on every customer of the
+/// shard, in slot order. A customer whose stream rejects the sweep is
+/// rejected with batch_index 0 under the sweep's `day`.
+template <typename PerCustomerOp>
+auto SweepStep(bool quarantine, retail::Day day, PerCustomerOp op) {
+  return [=](size_t, CustomerStateStore::ShardAccessor& access,
+             ShardOutput& out) -> Status {
+    for (; out.progress < access.size(); ++out.progress) {
+      CustomerStateStore::CustomerRef state = access.At(out.progress);
+      Result<std::vector<core::StabilityAlert>> closed = op(state);
+      if (!closed.ok()) {
+        if (Reject(quarantine, {state.customer(), 0, day, closed.status()},
+                   &out)) {
+          continue;
+        }
+        break;
+      }
+      for (core::StabilityAlert& alert : *closed) {
+        out.alerts.push_back(FleetAlert{state.customer(), 0, alert});
+      }
+    }
+    return Status::OK();
+  };
+}
 
 void WriteScorerOptions(const core::OnlineStabilityScorer::Options& options,
                         BinaryWriter* writer) {
@@ -197,75 +242,27 @@ void ScoringFleet::MapSymbols(const retail::Receipt& receipt,
                  scratch->end());
 }
 
-Result<BatchReport> ScoringFleet::IngestBatch(
-    std::span<const retail::Receipt> receipts) {
-  CHURNLAB_SPAN("serve.ingest_batch");
-  CHURNLAB_FAILPOINT("serve.ingest.batch");
+template <typename Step>
+Result<BatchReport> ScoringFleet::RunShards(
+    std::span<const retail::Receipt> receipts,
+    const std::vector<std::vector<size_t>>* by_shard, Step&& step) {
   const ServeMetrics& metrics = Metrics();
-  obs::ScopedLatency latency(metrics.ingest_batch_us);
-
-  // Partition by shard, preserving batch order within each shard so every
-  // customer's receipts stay chronological.
   const size_t num_shards = store_.num_shards();
-  std::vector<std::vector<size_t>> by_shard(num_shards);
-  for (size_t i = 0; i < receipts.size(); ++i) {
-    by_shard[store_.ShardOf(receipts[i].customer)].push_back(i);
-  }
-
   std::vector<ShardOutput> outputs(num_shards);
   const auto run_shard = [&](size_t shard) {
     ShardOutput& out = outputs[shard];
     obs::FlightSpan flight(ShardTaskSite(), shard);
-    // Per-shard latency histogram, interned lazily by the shard's own task
-    // (at most one task per shard is in flight, so the slot never races).
-    if (obs::DetailedTimingEnabled() && shard_latency_[shard] == nullptr) {
+    // Per-shard ingest latency histogram, interned lazily by the shard's own
+    // task (at most one task per shard is in flight, so the slot never
+    // races). Sweeps are not timed.
+    if (by_shard != nullptr && obs::DetailedTimingEnabled() &&
+        shard_latency_[shard] == nullptr) {
       shard_latency_[shard] = obs::MetricsRegistry::Global().GetHistogram(
           obs::LabeledMetricName("churnlab.serve.shard_ingest_us",
                                  {{"shard", std::to_string(shard)}}));
     }
-    obs::ScopedLatency shard_latency(shard_latency_[shard]);
-    std::vector<core::Symbol> symbols;
-    // Processes the shard's receipts from out.progress on. A failpoint for
-    // a receipt fires before that receipt mutates any state, so a retried
-    // attempt resumes cleanly; quarantined receipts advance progress like
-    // ingested ones.
-    const auto process =
-        [&](CustomerStateStore::ShardAccessor& access) -> Status {
-      const std::vector<size_t>& indices = by_shard[shard];
-      while (out.progress < indices.size()) {
-        const size_t batch_index = indices[out.progress];
-        const retail::Receipt& receipt = receipts[batch_index];
-        if (receipt.customer == retail::kInvalidCustomer) {
-          Status bad = Status::InvalidArgument(
-              "batch receipt has an invalid customer id");
-          if (!options_.quarantine_malformed) return bad;
-          out.rejected.push_back(RejectedReceipt{
-              receipt.customer, batch_index, receipt.day, std::move(bad)});
-          ++out.progress;
-          continue;
-        }
-        CHURNLAB_FAILPOINT_KEYED("serve.ingest.receipt", receipt.customer);
-        MapSymbols(receipt, &symbols);
-        CustomerStateStore::CustomerRef state =
-            access.GetOrCreate(receipt.customer);
-        Result<std::vector<core::StabilityAlert>> closed =
-            state.Observe(receipt.day, symbols);
-        if (!closed.ok()) {
-          if (!options_.quarantine_malformed) return closed.status();
-          out.rejected.push_back(RejectedReceipt{
-              receipt.customer, batch_index, receipt.day, closed.status()});
-          ++out.progress;
-          continue;
-        }
-        for (core::StabilityAlert& alert : *closed) {
-          out.alerts.push_back(
-              FleetAlert{receipt.customer, batch_index, alert});
-        }
-        ++out.receipts;
-        ++out.progress;
-      }
-      return Status::OK();
-    };
+    obs::ScopedLatency shard_latency(by_shard != nullptr ? shard_latency_[shard]
+                                                         : nullptr);
     const auto attempt = [&]() -> Status {
       CHURNLAB_FAILPOINT_KEYED("serve.shard.task", shard);
       return store_.WithShard(
@@ -273,7 +270,7 @@ Result<BatchReport> ScoringFleet::IngestBatch(
             if (out.customers_before == kUnsetCount) {
               out.customers_before = access.size();
             }
-            const Status status = process(access);
+            const Status status = step(shard, access, out);
             out.new_customers = access.size() - out.customers_before;
             return status;
           });
@@ -283,57 +280,52 @@ Result<BatchReport> ScoringFleet::IngestBatch(
           metrics.shard_retries->Increment();
           ++out.retries;
         });
+    if (out.status.ok()) out.status = std::move(out.item_error);
   };
 
+  // Ingest runs only the shards it routed receipts to; a sweep runs all.
   const size_t num_threads = std::min(options_.num_threads, num_shards);
-  if (num_threads > 1) {
-    if (pool_ == nullptr) {
-      pool_ = std::make_unique<ThreadPool>(num_threads);
+  if (num_threads > 1 && pool_ == nullptr) {
+    pool_ = std::make_unique<ThreadPool>(num_threads);
+  }
+  for (size_t shard = 0; shard < num_shards; ++shard) {
+    if (!shard_health_[shard].ok() ||
+        (by_shard != nullptr && (*by_shard)[shard].empty())) {
+      continue;
     }
-    for (size_t shard = 0; shard < num_shards; ++shard) {
-      if (by_shard[shard].empty() || !shard_health_[shard].ok()) continue;
+    if (num_threads > 1) {
       pool_->Submit([&run_shard, shard] { run_shard(shard); });
-    }
-    pool_->WaitIdle();
-  } else {
-    for (size_t shard = 0; shard < num_shards; ++shard) {
-      if (by_shard[shard].empty() || !shard_health_[shard].ok()) continue;
+    } else {
       run_shard(shard);
     }
   }
+  if (num_threads > 1) pool_->WaitIdle();
 
   BatchReport report;
   for (size_t shard = 0; shard < num_shards; ++shard) {
     ShardOutput& out = outputs[shard];
     ShardStats& stats = shard_stats_[shard];
-    stats.last_batch_receipts = by_shard[shard].size();
-    if (!shard_health_[shard].ok()) {
-      // Already poisoned: the shard never ran; quarantine its receipts.
-      report.poisoned.push_back(PoisonedShard{shard, shard_health_[shard]});
-      stats.rejected += by_shard[shard].size();
-      for (const size_t batch_index : by_shard[shard]) {
-        const retail::Receipt& receipt = receipts[batch_index];
-        report.rejected.push_back(RejectedReceipt{
-            receipt.customer, batch_index, receipt.day,
-            shard_health_[shard].WithContext("shard poisoned")});
-      }
-      continue;
-    }
-    if (!out.status.ok()) {
-      // Retries exhausted. With quarantine on, poison only this shard and
-      // quarantine its unprocessed tail; otherwise fail the batch (first
-      // failing shard by index, so the reported error is deterministic).
+    const size_t routed = by_shard != nullptr ? (*by_shard)[shard].size() : 0;
+    if (by_shard != nullptr) stats.last_batch_receipts = routed;
+    if (shard_health_[shard].ok() && !out.status.ok()) {
+      // Retries ran out, or an item failed with quarantine off. With
+      // quarantine on, poison only this shard; otherwise fail the call
+      // (first failing shard by index, so the reported error is
+      // deterministic).
       if (!options_.quarantine_malformed) return out.status;
       shard_health_[shard] = out.status;
       metrics.poisoned_shards->Increment();
-      report.poisoned.push_back(PoisonedShard{shard, out.status});
-      stats.rejected += by_shard[shard].size() - out.progress;
-      for (size_t i = out.progress; i < by_shard[shard].size(); ++i) {
-        const size_t batch_index = by_shard[shard][i];
+    }
+    if (!shard_health_[shard].ok()) {
+      // Poisoned by this or an earlier operation: quarantine the receipts
+      // the shard did not process (all of them if it never ran).
+      report.poisoned.push_back(PoisonedShard{shard, shard_health_[shard]});
+      for (size_t i = out.progress; i < routed; ++i) {
+        const size_t batch_index = (*by_shard)[shard][i];
         const retail::Receipt& receipt = receipts[batch_index];
-        report.rejected.push_back(RejectedReceipt{
+        out.rejected.push_back(RejectedReceipt{
             receipt.customer, batch_index, receipt.day,
-            out.status.WithContext("shard poisoned")});
+            shard_health_[shard].WithContext("shard poisoned")});
       }
     }
     stats.receipts += out.receipts;
@@ -350,18 +342,78 @@ Result<BatchReport> ScoringFleet::IngestBatch(
                            std::make_move_iterator(out.rejected.end()));
   }
   std::sort(report.alerts.begin(), report.alerts.end(), AlertLess);
-  std::sort(report.rejected.begin(), report.rejected.end(),
-            [](const RejectedReceipt& a, const RejectedReceipt& b) {
-              return a.batch_index < b.batch_index;
-            });
+  std::sort(report.rejected.begin(), report.rejected.end(), RejectedLess);
+  metrics.alerts_raised->Increment(report.alerts.size());
+  PublishShardTelemetry();
+  return report;
+}
+
+Result<BatchReport> ScoringFleet::IngestBatch(
+    std::span<const retail::Receipt> receipts) {
+  CHURNLAB_SPAN("serve.ingest_batch");
+  CHURNLAB_FAILPOINT("serve.ingest.batch");
+  const ServeMetrics& metrics = Metrics();
+  obs::ScopedLatency latency(metrics.ingest_batch_us);
+
+  // Partition by shard, preserving batch order within each shard so every
+  // customer's receipts stay chronological.
+  std::vector<std::vector<size_t>> by_shard(store_.num_shards());
+  for (size_t i = 0; i < receipts.size(); ++i) {
+    by_shard[store_.ShardOf(receipts[i].customer)].push_back(i);
+  }
+
+  // Processes the shard's receipts from out.progress on. A failpoint for a
+  // receipt fires before that receipt mutates any state, so a retried
+  // attempt resumes cleanly; quarantined receipts advance progress like
+  // ingested ones.
+  const auto ingest = [&](size_t shard,
+                          CustomerStateStore::ShardAccessor& access,
+                          ShardOutput& out) -> Status {
+    const std::vector<size_t>& indices = by_shard[shard];
+    std::vector<core::Symbol> symbols;
+    for (; out.progress < indices.size(); ++out.progress) {
+      const size_t batch_index = indices[out.progress];
+      const retail::Receipt& receipt = receipts[batch_index];
+      if (receipt.customer == retail::kInvalidCustomer) {
+        if (Reject(options_.quarantine_malformed,
+                   {receipt.customer, batch_index, receipt.day,
+                    Status::InvalidArgument(
+                        "batch receipt has an invalid customer id")},
+                   &out)) {
+          continue;
+        }
+        break;
+      }
+      CHURNLAB_FAILPOINT_KEYED("serve.ingest.receipt", receipt.customer);
+      MapSymbols(receipt, &symbols);
+      CustomerStateStore::CustomerRef state =
+          access.GetOrCreate(receipt.customer);
+      Result<std::vector<core::StabilityAlert>> closed =
+          state.Observe(receipt.day, symbols);
+      if (!closed.ok()) {
+        if (Reject(options_.quarantine_malformed,
+                   {receipt.customer, batch_index, receipt.day,
+                    closed.status()},
+                   &out)) {
+          continue;
+        }
+        break;
+      }
+      for (core::StabilityAlert& alert : *closed) {
+        out.alerts.push_back(FleetAlert{receipt.customer, batch_index, alert});
+      }
+      ++out.receipts;
+    }
+    return Status::OK();
+  };
+  CHURNLAB_ASSIGN_OR_RETURN(BatchReport report,
+                            RunShards(receipts, &by_shard, ingest));
 
   metrics.batches_ingested->Increment();
   metrics.receipts_ingested->Increment(report.receipts_ingested);
-  metrics.alerts_raised->Increment(report.alerts.size());
   metrics.rejected_receipts->Increment(report.rejected.size());
   metrics.customers->Set(static_cast<double>(store_.NumCustomers()));
   obs::FlightRecorder::Record(IngestBatchSite(), receipts.size());
-  PublishShardTelemetry();
   return report;
 }
 
@@ -453,92 +505,22 @@ StateMemoryStats ScoringFleet::MemoryUsage() const {
   return total;
 }
 
-template <typename PerCustomerOp>
-Result<BatchReport> ScoringFleet::ForAllCustomers(const char* span_name,
-                                                  PerCustomerOp&& op) {
-  CHURNLAB_SPAN(span_name);
-  const ServeMetrics& metrics = Metrics();
-  const size_t num_shards = store_.num_shards();
-  std::vector<ShardOutput> outputs(num_shards);
-  const auto run_shard = [&](size_t shard) {
-    ShardOutput& out = outputs[shard];
-    obs::FlightSpan flight(ShardTaskSite(), shard);
-    const auto attempt = [&]() -> Status {
-      CHURNLAB_FAILPOINT_KEYED("serve.shard.task", shard);
-      return store_.WithShard(
-          shard, [&](CustomerStateStore::ShardAccessor& access) -> Status {
-            while (out.progress < access.size()) {
-              CustomerStateStore::CustomerRef state = access.At(out.progress);
-              Result<std::vector<core::StabilityAlert>> closed = op(state);
-              if (!closed.ok()) return closed.status();
-              for (core::StabilityAlert& alert : *closed) {
-                out.alerts.push_back(FleetAlert{state.customer(), 0, alert});
-              }
-              ++out.progress;
-            }
-            return Status::OK();
-          });
-    };
-    out.status = RetryWithBackoff(
-        options_.shard_retry, attempt, [&metrics, &out](int, const Status&) {
-          metrics.shard_retries->Increment();
-          ++out.retries;
-        });
-  };
-
-  const size_t num_threads = std::min(options_.num_threads, num_shards);
-  if (num_threads > 1) {
-    if (pool_ == nullptr) {
-      pool_ = std::make_unique<ThreadPool>(num_threads);
-    }
-    for (size_t shard = 0; shard < num_shards; ++shard) {
-      if (!shard_health_[shard].ok()) continue;
-      pool_->Submit([&run_shard, shard] { run_shard(shard); });
-    }
-    pool_->WaitIdle();
-  } else {
-    for (size_t shard = 0; shard < num_shards; ++shard) {
-      if (shard_health_[shard].ok()) run_shard(shard);
-    }
-  }
-
-  BatchReport report;
-  for (size_t shard = 0; shard < num_shards; ++shard) {
-    ShardOutput& out = outputs[shard];
-    if (!shard_health_[shard].ok()) {
-      report.poisoned.push_back(PoisonedShard{shard, shard_health_[shard]});
-      continue;
-    }
-    if (!out.status.ok()) {
-      if (!options_.quarantine_malformed) return out.status;
-      shard_health_[shard] = out.status;
-      metrics.poisoned_shards->Increment();
-      report.poisoned.push_back(PoisonedShard{shard, out.status});
-    }
-    shard_stats_[shard].alerts += out.alerts.size();
-    shard_stats_[shard].retries += out.retries;
-    report.alerts.insert(report.alerts.end(),
-                         std::make_move_iterator(out.alerts.begin()),
-                         std::make_move_iterator(out.alerts.end()));
-  }
-  std::sort(report.alerts.begin(), report.alerts.end(), AlertLess);
-  metrics.alerts_raised->Increment(report.alerts.size());
-  PublishShardTelemetry();
-  return report;
-}
-
 Result<BatchReport> ScoringFleet::AdvanceAllTo(retail::Day day) {
-  return ForAllCustomers("serve.advance_all",
-                         [day](CustomerStateStore::CustomerRef& state) {
-                           return state.AdvanceTo(day);
-                         });
+  CHURNLAB_SPAN("serve.advance_all");
+  return RunShards({}, nullptr,
+                   SweepStep(options_.quarantine_malformed, day,
+                             [day](CustomerStateStore::CustomerRef& state) {
+                               return state.AdvanceTo(day);
+                             }));
 }
 
 Result<BatchReport> ScoringFleet::FinishAll() {
-  return ForAllCustomers("serve.finish_all",
-                         [](CustomerStateStore::CustomerRef& state) {
-                           return state.Finish();
-                         });
+  CHURNLAB_SPAN("serve.finish_all");
+  return RunShards({}, nullptr,
+                   SweepStep(options_.quarantine_malformed, 0,
+                             [](CustomerStateStore::CustomerRef& state) {
+                               return state.Finish();
+                             }));
 }
 
 Status ScoringFleet::SaveSnapshot(BinaryWriter* writer) const {

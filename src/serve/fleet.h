@@ -43,15 +43,15 @@ struct FleetOptions {
   retail::Granularity granularity = retail::Granularity::kSegment;
   /// Unused (see StateLayout).
   StateLayout layout = StateLayout::kCompact;
-  /// Graceful degradation (docs/ROBUSTNESS.md): when true, malformed
-  /// receipts (invalid customer id, stream-contract violations such as a
-  /// stale day) are quarantined into BatchReport::rejected instead of
-  /// failing the batch. When false, the first malformed receipt fails
-  /// IngestBatch with its error (the pre-robustness contract).
+  /// Graceful degradation (docs/ROBUSTNESS.md): when true, an item whose
+  /// own input is rejected (an invalid customer id, or a day the customer's
+  /// stream rejects) is quarantined into BatchReport::rejected instead of
+  /// failing the operation. When false, the first such item fails the
+  /// operation at once, without a retry.
   bool quarantine_malformed = true;
-  /// Backoff for failed shard tasks (and snapshot file writes). A shard
-  /// task that still fails after `shard_retry.max_retries` retries poisons
-  /// only its shard, not the fleet.
+  /// Backoff for failed shard tasks (injected faults and exceptions, never
+  /// rejected items) and snapshot file writes. A shard task that still
+  /// fails after `shard_retry.max_retries` retries poisons only its shard.
   RetryPolicy shard_retry;
 };
 
@@ -64,14 +64,13 @@ struct FleetAlert {
   core::StabilityAlert alert;
 };
 
-/// One quarantined receipt: kept out of the fleet state, reported with the
-/// reason it was rejected. Sorted by batch_index (unique per receipt), so
-/// the list is deterministic for any thread count.
+/// One quarantined item with the reason it was rejected: a receipt kept
+/// out of the fleet state, or a customer whose stream rejected a sweep.
 struct RejectedReceipt {
   retail::CustomerId customer = retail::kInvalidCustomer;
-  /// Index within the IngestBatch span.
+  /// Index within the IngestBatch span; 0 for a sweep.
   size_t batch_index = 0;
-  retail::Day day = 0;
+  retail::Day day = 0;  ///< The receipt's day, or the sweep's.
   Status reason;
 };
 
@@ -90,7 +89,7 @@ struct ShardHealthStats {
   /// OK while serving; the poisoning error once out of service.
   Status status;
   uint64_t receipts = 0;  ///< Receipts ingested by this shard.
-  uint64_t rejected = 0;  ///< Receipts quarantined by this shard.
+  uint64_t rejected = 0;  ///< Items quarantined by this shard.
   uint64_t alerts = 0;    ///< Alerts raised by this shard.
   uint64_t retries = 0;   ///< Retry attempts of this shard's tasks.
   size_t customers = 0;   ///< Current shard population.
@@ -119,8 +118,9 @@ struct BatchReport {
   size_t receipts_ingested = 0;
   /// Customers seen for the first time by this operation.
   size_t new_customers = 0;
-  /// Quarantined receipts, sorted by batch_index (empty unless
-  /// FleetOptions::quarantine_malformed, or a shard is poisoned).
+  /// Quarantined items, sorted by (batch_index, customer), so the list is
+  /// deterministic for any thread count (empty unless
+  /// FleetOptions::quarantine_malformed).
   std::vector<RejectedReceipt> rejected;
   /// Shards that are out of service as of this operation (newly poisoned or
   /// already poisoned), sorted by shard index.
@@ -195,11 +195,12 @@ class ScoringFleet {
   /// sorted by (batch_index, customer, window_index, kind), so the report
   /// is identical for any thread count.
   ///
-  /// With quarantine_malformed (the default), malformed receipts land in
-  /// the report's `rejected` list and the batch keeps going; with it off,
-  /// the first malformed receipt fails the call, the fleet may have
-  /// ingested part of the batch, and errors should be treated as fatal for
-  /// determinism. Shard-task failures are retried per
+  /// Item errors (an invalid customer id; a day not chronological, before
+  /// the origin or past the 2^20-window horizon; a symbol past 2^24) are
+  /// quarantined into `rejected` with quarantine_malformed (the default),
+  /// else fail the call at once — the fleet may have ingested part of the
+  /// batch; treat it as fatal. They are never retried. Shard faults (an
+  /// injected failpoint or an exception) are retried per
   /// FleetOptions::shard_retry; a shard that exhausts its retries is
   /// poisoned (reported in `poisoned`) and its unprocessed receipts — in
   /// this and every later batch — are quarantined.
@@ -207,12 +208,14 @@ class ScoringFleet {
 
   /// Closes all windows before the one containing `day` for every known
   /// customer ("no activity through day" advancement). Alerts are sorted
-  /// by (customer, window_index, kind).
+  /// by (customer, window_index, kind). A customer whose stream rejects
+  /// `day` is an item error as in IngestBatch, quarantined under
+  /// batch_index 0 and `day` with its state unchanged; faults as there.
   Result<BatchReport> AdvanceAllTo(retail::Day day);
 
   /// Flushes every customer's in-progress window and evaluates it against
   /// the policy (end-of-stream). Never-fed customers contribute nothing.
-  /// Alerts are sorted by (customer, window_index, kind).
+  /// Alerts are sorted, and errors settled, as in AdvanceAllTo.
   Result<BatchReport> FinishAll();
 
   size_t NumCustomers() const { return store_.NumCustomers(); }
@@ -310,11 +313,15 @@ class ScoringFleet {
   void MapSymbols(const retail::Receipt& receipt,
                   std::vector<core::Symbol>* scratch) const;
 
-  /// Shared tail of AdvanceAllTo / FinishAll: runs `op` on every customer
-  /// of every shard and merges alerts sorted by (customer, window, kind).
-  template <typename PerCustomerOp>
-  Result<BatchReport> ForAllCustomers(const char* span_name,
-                                      PerCustomerOp&& op);
+  /// The one shard fan-out of IngestBatch (`by_shard`: each shard's batch
+  /// indices; runs the shards with receipts) and the sweeps (`by_shard`
+  /// null; runs every shard). Runs `step(shard, accessor, output)` on each
+  /// healthy shard under its lock, behind the serve.shard.task failpoint
+  /// and the shard_retry loop, then merges one sorted report.
+  template <typename Step>
+  Result<BatchReport> RunShards(
+      std::span<const retail::Receipt> receipts,
+      const std::vector<std::vector<size_t>>* by_shard, Step&& step);
 
   /// Per-shard cumulative stats behind HealthReport. Written only in the
   /// single-threaded merge phase of an operation (like shard_health_).

@@ -12,6 +12,7 @@
 
 #include "common/binary_io.h"
 #include "common/failpoint.h"
+#include "obs/metrics.h"
 #include "serve/fleet.h"
 #include "serve/state_store.h"
 
@@ -319,7 +320,12 @@ TEST(ScoringFleet, QuarantinesReceiptsBeyondTheSnapshotCaps) {
 
 TEST(ScoringFleet, IngestFailsHardWithQuarantineDisabled) {
   // quarantine_malformed = false restores the strict pre-quarantine
-  // contract: any malformed receipt fails the batch.
+  // contract: any malformed receipt fails the batch. A rejected item is not
+  // a shard fault, so it fails the call at once, without a retry; a sweep
+  // day a customer's stream rejects follows the same rule.
+  obs::Counter* const retries = obs::MetricsRegistry::Global().GetCounter(
+      "churnlab.serve.shard_retries");
+  const uint64_t retries_before = retries->Value();
   FleetOptions options = SmallFleetOptions();
   options.quarantine_malformed = false;
   auto fleet = ScoringFleet::Make(options, nullptr).ValueOrDie();
@@ -335,6 +341,55 @@ TEST(ScoringFleet, IngestFailsHardWithQuarantineDisabled) {
   const auto report = fleet.IngestBatch(stale);
   ASSERT_FALSE(report.ok());
   EXPECT_TRUE(report.status().IsInvalidArgument());
+
+  const auto sweep = fleet.AdvanceAllTo(20);
+  ASSERT_FALSE(sweep.ok());
+  EXPECT_TRUE(sweep.status().IsInvalidArgument());
+  EXPECT_EQ(retries->Value() - retries_before, 0u);
+  for (size_t shard = 0; shard < 4; ++shard) {
+    EXPECT_TRUE(fleet.ShardHealth(shard).ok()) << shard;
+  }
+}
+
+TEST(ScoringFleet, SweepQuarantinesCustomersWhoseStreamRejectsTheDay) {
+  // A sweep day a customer's stream rejects is that customer's item error,
+  // not a shard fault: the customer is quarantined under the sweep day,
+  // nothing is retried, and every shard keeps serving.
+  obs::Counter* const retries = obs::MetricsRegistry::Global().GetCounter(
+      "churnlab.serve.shard_retries");
+  auto fleet = ScoringFleet::Make(SmallFleetOptions(), nullptr).ValueOrDie();
+  std::vector<Receipt> batch;
+  for (CustomerId customer = 1; customer <= 8; ++customer) {
+    batch.push_back(MakeReceipt(customer, 100, {1, 2}));
+  }
+  ASSERT_EQ(fleet.IngestBatch(batch).ValueOrDie().receipts_ingested, 8u);
+  const std::string before = SnapshotOf(fleet);
+  const uint64_t retries_before = retries->Value();
+
+  for (const Day day : {Day{50}, 30 * (Day{1} << 20)}) {
+    const BatchReport report = fleet.AdvanceAllTo(day).ValueOrDie();
+    EXPECT_TRUE(report.poisoned.empty()) << day;
+    EXPECT_TRUE(report.alerts.empty()) << day;
+    ASSERT_EQ(report.rejected.size(), 8u) << day;
+    for (size_t i = 0; i < report.rejected.size(); ++i) {
+      const RejectedReceipt& rejected = report.rejected[i];
+      EXPECT_EQ(rejected.customer, i + 1);  // batch_index, then customer
+      EXPECT_EQ(rejected.batch_index, 0u);
+      EXPECT_EQ(rejected.day, day);
+      EXPECT_TRUE(rejected.reason.IsInvalidArgument())
+          << rejected.reason.ToString();
+    }
+  }
+  EXPECT_EQ(retries->Value(), retries_before);
+  EXPECT_EQ(SnapshotOf(fleet), before) << "a rejected day changes nothing";
+  for (size_t shard = 0; shard < 4; ++shard) {
+    EXPECT_TRUE(fleet.ShardHealth(shard).ok()) << shard;
+  }
+
+  for (Receipt& receipt : batch) receipt.day = 200;
+  const BatchReport later = fleet.IngestBatch(batch).ValueOrDie();
+  EXPECT_EQ(later.receipts_ingested, 8u);
+  EXPECT_TRUE(later.rejected.empty());
 }
 
 TEST(ScoringFleet, RaisesLowStabilityAlertWhenBasketCollapses) {
