@@ -27,7 +27,7 @@ TARGETS=(thread_pool_test significance_test significance_equivalence_test
          grid_search_test bootstrap_test parallel_determinism_test
          serve_test serve_determinism_test serve_memory_test arena_test
          facade_test failpoint_test serve_fault_test snapshot_fuzz_test
-         journal_test journal_fuzz_test
+         journal_test journal_fuzz_test journal_scan_test
          telemetry_concurrency_test flight_recorder_test
          http_parser_test net_json_test net_admission_test
          net_coalescer_test net_server_test)

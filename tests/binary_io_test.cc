@@ -184,5 +184,82 @@ TEST(BinaryIo, RemainingTracksConsumption) {
   EXPECT_TRUE(reader.AtEnd());
 }
 
+TEST(BinaryIo, OpenFileReadsEmptyAndMultiMegabyteFiles) {
+  const std::string path = testing::TempDir() + "/churnlab_binary_big.bin";
+  ASSERT_TRUE(BinaryWriter().SaveToFile(path).ok());
+  auto empty = BinaryReader::OpenFile(path);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->AtEnd());
+
+  BinaryWriter writer;
+  const size_t count = (3u << 20) / 8 + 5;  // a little over 3 MiB
+  for (size_t i = 0; i < count; ++i) {
+    writer.WriteDouble(static_cast<double>(i) * 0.5);
+  }
+  ASSERT_TRUE(writer.SaveToFile(path).ok());
+  auto reader = BinaryReader::OpenFile(path);
+  ASSERT_TRUE(reader.ok());
+  EXPECT_EQ(reader->remaining(), count * 8);
+  for (size_t i = 0; i < count; ++i) {
+    ASSERT_EQ(reader->ReadDouble().ValueOrDie(), static_cast<double>(i) * 0.5);
+  }
+  EXPECT_TRUE(reader->AtEnd());
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// CRC-32 known answers, pinned against a bytewise reference so any faster
+// implementation must produce the same checksum for every length and
+// alignment.
+// ---------------------------------------------------------------------------
+
+uint32_t ReferenceCrc32(const uint8_t* data, size_t size, uint32_t seed) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) != 0 ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32, KnownAnswers) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32("", 0), 0u);
+  EXPECT_EQ(Crc32(nullptr, 0, 0xDEADBEEFu), 0xDEADBEEFu);
+  EXPECT_EQ(Crc32("The quick brown fox jumps over the lazy dog", 43),
+            0x414FA339u);
+}
+
+TEST(Crc32, SeedChainingEqualsOneShot) {
+  const std::string text = "The quick brown fox jumps over the lazy dog";
+  const uint32_t whole = Crc32(text.data(), text.size());
+  for (size_t split = 0; split <= text.size(); ++split) {
+    const uint32_t head = Crc32(text.data(), split);
+    EXPECT_EQ(Crc32(text.data() + split, text.size() - split, head), whole)
+        << "split at " << split;
+  }
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  uint8_t bytes[8 + 67];
+  uint32_t state = 0x12345678u;
+  for (uint8_t& byte : bytes) {
+    state = state * 1664525u + 1013904223u;
+    byte = static_cast<uint8_t>(state >> 24);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 67; ++length) {
+      const uint8_t* data = bytes + offset;
+      EXPECT_EQ(Crc32(data, length), ReferenceCrc32(data, length, 0))
+          << "offset " << offset << " length " << length;
+      EXPECT_EQ(Crc32(data, length, 0x9E3779B9u),
+                ReferenceCrc32(data, length, 0x9E3779B9u))
+          << "seeded, offset " << offset << " length " << length;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace churnlab
