@@ -1,12 +1,55 @@
 #include "common/binary_io.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <fstream>
-#include <sstream>
 
 #include "common/failpoint.h"
 #include "common/macros.h"
 
 namespace churnlab {
+
+namespace {
+
+/// Slicing-by-8 tables of the reflected polynomial: kCrc32Tables[0] is the
+/// classic bytewise table, and kCrc32Tables[k][b] is the CRC of byte b
+/// followed by k zero bytes, so one lookup per byte folds 8 bytes at once.
+struct Crc32Tables {
+  uint32_t t[8][256];
+};
+
+constexpr Crc32Tables MakeCrc32Tables() {
+  Crc32Tables tables{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (~(crc & 1u) + 1u));
+    }
+    tables.t[0][i] = crc;
+  }
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (int k = 1; k < 8; ++k) {
+      const uint32_t previous = tables.t[k - 1][i];
+      tables.t[k][i] = (previous >> 8) ^ tables.t[0][previous & 0xFF];
+    }
+  }
+  return tables;
+}
+
+constexpr Crc32Tables kCrc32Tables = MakeCrc32Tables();
+
+/// Little-endian 32-bit load, independent of the host's byte order.
+inline uint32_t LoadLittleEndian32(const uint8_t* bytes) {
+  return static_cast<uint32_t>(bytes[0]) |
+         (static_cast<uint32_t>(bytes[1]) << 8) |
+         (static_cast<uint32_t>(bytes[2]) << 16) |
+         (static_cast<uint32_t>(bytes[3]) << 24);
+}
+
+}  // namespace
 
 void BinaryWriter::WriteVarint(uint64_t value) {
   while (value >= 0x80) {
@@ -70,23 +113,19 @@ Status BinaryWriter::AppendToFile(const std::string& path) const {
 }
 
 uint32_t Crc32(const void* data, size_t size, uint32_t seed) {
-  // Table generated once from the reflected polynomial; byte-at-a-time is
-  // plenty for snapshot frames (checksum cost is dwarfed by serialization).
-  static const uint32_t* const kTable = [] {
-    static uint32_t table[256];
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t crc = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        crc = (crc >> 1) ^ (0xEDB88320u & (~(crc & 1u) + 1u));
-      }
-      table[i] = crc;
-    }
-    return table;
-  }();
+  const auto& table = kCrc32Tables.t;
   uint32_t crc = ~seed;
   const uint8_t* bytes = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    crc = (crc >> 8) ^ kTable[(crc ^ bytes[i]) & 0xFF];
+  for (; size >= 8; bytes += 8, size -= 8) {
+    const uint32_t low = LoadLittleEndian32(bytes) ^ crc;
+    const uint32_t high = LoadLittleEndian32(bytes + 4);
+    crc = table[7][low & 0xFF] ^ table[6][(low >> 8) & 0xFF] ^
+          table[5][(low >> 16) & 0xFF] ^ table[4][low >> 24] ^
+          table[3][high & 0xFF] ^ table[2][(high >> 8) & 0xFF] ^
+          table[1][(high >> 16) & 0xFF] ^ table[0][high >> 24];
+  }
+  for (; size > 0; ++bytes, --size) {
+    crc = (crc >> 8) ^ table[0][(crc ^ *bytes) & 0xFF];
   }
   return ~crc;
 }
@@ -94,12 +133,35 @@ uint32_t Crc32(const void* data, size_t size, uint32_t seed) {
 Result<BinaryReader> BinaryReader::OpenFile(const std::string& path) {
   static Failpoint* const open_failpoint =
       FailpointRegistry::Global().Get("common.binary_io.open");
-  std::ifstream file(path, std::ios::binary);
-  if (!file) return Status::IOError("cannot open '" + path + "' for reading");
-  std::ostringstream contents;
-  contents << file.rdbuf();
-  if (file.bad()) return Status::IOError("error while reading '" + path + "'");
-  std::string buffer = std::move(contents).str();
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::IOError("cannot open '" + path + "' for reading");
+  // Size the buffer from the file's length and fill it in place; a file
+  // that grew since fstat is read on to its end.
+  std::string buffer;
+  struct stat info;
+  bool failed = ::fstat(fd, &info) != 0;
+  if (!failed) buffer.resize(static_cast<size_t>(info.st_size));
+  size_t filled = 0;
+  while (!failed) {
+    char spill[4096];
+    const bool sized = filled < buffer.size();
+    const ssize_t n = sized ? ::read(fd, buffer.data() + filled,
+                                     buffer.size() - filled)
+                            : ::read(fd, spill, sizeof(spill));
+    if (n < 0) {
+      failed = errno != EINTR;
+    } else if (n == 0) {
+      break;
+    } else if (sized) {
+      filled += static_cast<size_t>(n);
+    } else {
+      buffer.append(spill, static_cast<size_t>(n));
+      filled = buffer.size();
+    }
+  }
+  ::close(fd);
+  if (failed) return Status::IOError("error while reading '" + path + "'");
+  buffer.resize(filled);
   if (open_failpoint->armed()) {
     CHURNLAB_RETURN_NOT_OK(open_failpoint->CorruptBytes(&buffer));
   }
@@ -109,8 +171,8 @@ Result<BinaryReader> BinaryReader::OpenFile(const std::string& path) {
 Result<uint64_t> BinaryReader::ReadVarint() {
   uint64_t value = 0;
   int shift = 0;
-  while (pos_ < buffer_.size()) {
-    const uint8_t byte = static_cast<uint8_t>(buffer_[pos_++]);
+  while (pos_ < data_.size()) {
+    const uint8_t byte = static_cast<uint8_t>(data_[pos_++]);
     if (shift >= 64 || (shift == 63 && (byte & 0x7F) > 1)) {
       return Status::OutOfRange("varint overflows 64 bits");
     }
@@ -131,7 +193,7 @@ Result<double> BinaryReader::ReadDouble() {
     return Status::OutOfRange("truncated double at end of buffer");
   }
   double value;
-  std::memcpy(&value, buffer_.data() + pos_, 8);
+  std::memcpy(&value, data_.data() + pos_, 8);
   pos_ += 8;
   return value;
 }
@@ -141,21 +203,26 @@ Result<std::string> BinaryReader::ReadString() {
   if (remaining() < size) {
     return Status::OutOfRange("truncated string at end of buffer");
   }
-  std::string value = buffer_.substr(pos_, size);
+  std::string value(data_.substr(pos_, size));
   pos_ += size;
   return value;
 }
 
 Result<std::string> BinaryReader::ReadBytes(size_t size) {
+  CHURNLAB_ASSIGN_OR_RETURN(const std::string_view bytes, ReadView(size));
+  return std::string(bytes);
+}
+
+Result<std::string_view> BinaryReader::ReadView(size_t size) {
   if (remaining() < size) {
     return Status::InvalidArgument(
         "length prefix (" + std::to_string(size) +
         " bytes) exceeds remaining buffer (" + std::to_string(remaining()) +
         " bytes)");
   }
-  std::string value = buffer_.substr(pos_, size);
+  const std::string_view bytes = data_.substr(pos_, size);
   pos_ += size;
-  return value;
+  return bytes;
 }
 
 }  // namespace churnlab

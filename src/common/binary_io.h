@@ -3,7 +3,9 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -58,12 +60,27 @@ uint32_t Crc32(const void* data, size_t size, uint32_t seed = 0);
 /// OutOfRange on truncated input, while ReadBytes — whose size is an
 /// untrusted, externally-framed length prefix — returns InvalidArgument
 /// when the prefix exceeds the remaining buffer.
+///
+/// A reader either owns its buffer (the constructor, OpenFile) or reads
+/// bytes the caller keeps alive (Over). Moving an owning reader keeps its
+/// bytes in place, so views from ReadView stay valid.
 class BinaryReader {
  public:
-  explicit BinaryReader(std::string buffer) : buffer_(std::move(buffer)) {}
+  explicit BinaryReader(std::string buffer)
+      : owned_(std::make_unique<std::string>(std::move(buffer))),
+        data_(*owned_) {}
 
-  /// Loads the whole file at `path` into a reader. Failpoint site
-  /// `common.binary_io.open` (corrupt-bytes flips a bit of the loaded copy).
+  /// A reader over `bytes` without copying them; the caller keeps them
+  /// alive for as long as the reader is used.
+  static BinaryReader Over(std::string_view bytes) {
+    BinaryReader reader;
+    reader.data_ = bytes;
+    return reader;
+  }
+
+  /// Loads the whole file at `path` into a reader with one read sized from
+  /// the file's length. Failpoint site `common.binary_io.open`
+  /// (corrupt-bytes flips a bit of the loaded copy).
   static Result<BinaryReader> OpenFile(const std::string& path);
 
   Result<uint64_t> ReadVarint();
@@ -75,13 +92,21 @@ class BinaryReader {
   /// treated as untrusted: a prefix larger than the remaining buffer fails
   /// with InvalidArgument before any allocation is sized from it.
   Result<std::string> ReadBytes(size_t size);
+  /// As ReadBytes, without the copy: the view points into the reader's
+  /// bytes and lives as long as they do.
+  Result<std::string_view> ReadView(size_t size);
 
   /// True when the whole buffer has been consumed.
-  bool AtEnd() const { return pos_ >= buffer_.size(); }
-  size_t remaining() const { return buffer_.size() - pos_; }
+  bool AtEnd() const { return pos_ >= data_.size(); }
+  size_t remaining() const { return data_.size() - pos_; }
 
  private:
-  std::string buffer_;
+  BinaryReader() = default;
+
+  /// The bytes an owning reader holds (null for Over); heap-held so a move
+  /// leaves data_ pointing at them.
+  std::unique_ptr<std::string> owned_;
+  std::string_view data_;
   size_t pos_ = 0;
 };
 
