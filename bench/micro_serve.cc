@@ -350,5 +350,55 @@ void BM_JournalRecoveryScan(benchmark::State& state) {
 }
 BENCHMARK(BM_JournalRecoveryScan)->Arg(64)->Arg(1024);
 
+// Crash restart end to end: scan a journal of 256 coalesced 1,024-receipt
+// frames of the bench stream (repeated in laps shifted past its last day,
+// so every customer stays chronological), then replay it into a fresh
+// 16-shard fleet with ScoringFleet::Recover.
+void BM_FleetRecover(benchmark::State& state) {
+  constexpr size_t kFrames = 256;
+  constexpr size_t kFrameReceipts = 1024;
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "churnlab_bench_recover")
+          .string();
+  std::filesystem::remove_all(dir);
+  {
+    serve::JournalOptions options;
+    options.directory = dir;
+    options.fsync = serve::FsyncPolicy::kNone;
+    auto journal_result = serve::IngestJournal::Open(options);
+    journal_result.status().Abort("journal");
+    serve::IngestJournal& journal = journal_result.ValueOrDie();
+    const std::vector<retail::Receipt>& stream = BenchStream();
+    const retail::Day lap_days = stream.back().day + 1;
+    std::vector<retail::Receipt> frame;
+    for (size_t i = 0; i < kFrames * kFrameReceipts; ++i) {
+      retail::Receipt receipt = stream[i % stream.size()];
+      receipt.day += static_cast<retail::Day>(i / stream.size()) * lap_days;
+      frame.push_back(std::move(receipt));
+      if (frame.size() == kFrameReceipts) {
+        journal.Append(journal.next_sequence(), frame).Abort("append");
+        frame.clear();
+      }
+    }
+  }
+  for (auto _ : state) {
+    serve::JournalOptions options;
+    options.directory = dir;
+    options.recover = true;
+    options.read_only = true;
+    serve::JournalRecovery recovery;
+    auto scanned = serve::IngestJournal::Open(options, &recovery);
+    scanned.status().Abort("scan");
+    auto fleet = serve::ScoringFleet::Recover(recovery, "", BenchOptions(16),
+                                              &BenchDataset().taxonomy());
+    fleet.status().Abort("recover");
+    benchmark::DoNotOptimize(fleet->NumCustomers());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kFrames * kFrameReceipts));
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_FleetRecover)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 }  // namespace churnlab

@@ -1,11 +1,13 @@
 #include "serve/fleet.h"
 
 #include <algorithm>
+#include <thread>
 #include <tuple>
 #include <utility>
 
 #include "common/failpoint.h"
 #include "common/macros.h"
+#include "common/stopwatch.h"
 #include "obs/fault_obs.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -897,6 +899,15 @@ Result<ScoringFleet> ScoringFleet::Recover(
   // Replay the journaled batches exactly as the coalescer applied them.
   // Sequence order fully determines fleet state, so the recovered fleet's
   // snapshot is byte-identical to the crashed server's would have been.
+  // Nothing else runs while a server recovers, and output is identical for
+  // any thread count, so the replay fans out on a pool of its own with a
+  // worker per core; the fleet then serves with the caller's count.
+  const Stopwatch replay_clock;
+  const size_t serving_threads = fleet.options_.num_threads;
+  const size_t replay_threads = std::max<size_t>(
+      {serving_threads, std::thread::hardware_concurrency(), 1});
+  fleet.options_.num_threads = replay_threads;
+  fleet.pool_.reset();
   uint64_t replayed_receipts = 0;
   for (const JournalFrame& frame : recovery.frames) {
     Result<BatchReport> report = fleet.IngestBatch(frame.receipts);
@@ -907,13 +918,18 @@ Result<ScoringFleet> ScoringFleet::Recover(
     }
     replayed_receipts += frame.receipts.size();
   }
+  fleet.options_.num_threads = serving_threads;
+  fleet.pool_.reset();
   obs::LogEvent(LogLevel::kInfo, "journal_replay_complete", __FILE__,
                 __LINE__)
       .Uint("frames", recovery.frames.size())
       .Uint("receipts", replayed_receipts)
       .Uint("watermark", recovery.watermark)
       .Uint("next_sequence", recovery.next_sequence)
-      .Uint("customers", fleet.NumCustomers());
+      .Uint("customers", fleet.NumCustomers())
+      .Num("scan_ms", recovery.scan_ms)
+      .Num("replay_ms", replay_clock.ElapsedMillis())
+      .Uint("threads", replay_threads);
   return fleet;
 }
 

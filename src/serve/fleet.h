@@ -299,6 +299,11 @@ class ScoringFleet {
   /// replayed through IngestBatch in sequence order, reproducing the
   /// pre-crash state byte-for-byte (arrival sequence fully determines
   /// fleet state; coalesced batch boundaries do not).
+  ///
+  /// The replay runs on every core: a replay-only pool of
+  /// max(num_threads, hardware threads) workers, dropped when the replay
+  /// ends. num_threads is the serving count: the returned fleet reports it
+  /// in options() and fans out with it from its first operation on.
   static Result<ScoringFleet> Recover(
       const JournalRecovery& recovery, const std::string& snapshot_path,
       const FleetOptions& fresh_options, const retail::Taxonomy* taxonomy,

@@ -10,11 +10,14 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <thread>
 #include <utility>
 
 #include "common/binary_io.h"
 #include "common/failpoint.h"
 #include "common/macros.h"
+#include "common/stopwatch.h"
+#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/structured_log.h"
 #include "obs/trace.h"
@@ -116,8 +119,8 @@ void WriteFramePayload(uint64_t first_sequence,
   }
 }
 
-Status ParseFramePayload(std::string payload, JournalFrame* frame) {
-  BinaryReader reader(std::move(payload));
+Status ParseFramePayload(std::string_view payload, JournalFrame* frame) {
+  BinaryReader reader = BinaryReader::Over(payload);
   CHURNLAB_ASSIGN_OR_RETURN(frame->first_sequence, reader.ReadVarint());
   CHURNLAB_ASSIGN_OR_RETURN(const uint64_t count, reader.ReadVarint());
   if (count > kMaxFrameReceipts) {
@@ -194,6 +197,66 @@ struct SegmentFile {
   uint64_t number = 0;
   std::string path;
 };
+
+/// One frame as the framing pass found it, before its CRC check: the
+/// payload is a view into its segment's bytes.
+struct RawFrame {
+  std::string_view payload;
+  uint64_t crc = 0;
+  uint64_t end = 0;  ///< byte offset just past the frame in its segment
+};
+
+/// One segment after the framing pass. `bytes` owns the buffer the frames'
+/// payloads view.
+struct FramedSegment {
+  BinaryReader bytes = BinaryReader::Over({});
+  uint64_t total = 0;       ///< file size
+  uint64_t header_end = 0;  ///< byte offset of the first frame
+  std::vector<RawFrame> frames;
+  /// Why framing stopped short of the end of the file (a truncated size
+  /// or CRC varint, or a size running past the end); OK when it did not.
+  Status framing;
+};
+
+/// Reads and frames one segment: checks its header, then walks the
+/// [size, crc, payload] frames without checking or copying payloads.
+/// Errors are the ones a frame-by-frame scan meets before any frame.
+Result<FramedSegment> FrameSegment(const SegmentFile& segment) {
+  FramedSegment framed;
+  CHURNLAB_ASSIGN_OR_RETURN(framed.bytes,
+                            BinaryReader::OpenFile(segment.path));
+  BinaryReader& reader = framed.bytes;
+  framed.total = reader.remaining();
+  const auto offset = [&] { return framed.total - reader.remaining(); };
+  const Status bad_header = Status::DataLoss(
+      "journal segment '" + segment.path + "' has a corrupted header");
+  const Result<std::string_view> magic = reader.ReadView(kJournalMagicSize);
+  if (!magic.ok() ||
+      *magic != std::string_view(kSegmentMagic, kJournalMagicSize)) {
+    return bad_header;
+  }
+  const Result<uint64_t> version = reader.ReadVarint();
+  if (!version.ok() || *version != kJournalVersion) return bad_header;
+  const Result<uint64_t> number = reader.ReadVarint();
+  if (!number.ok() || *number != segment.number) return bad_header;
+  framed.header_end = offset();
+  while (!reader.AtEnd()) {
+    const Result<uint64_t> size = reader.ReadVarint();
+    const Result<uint64_t> crc =
+        size.ok() ? reader.ReadVarint() : Result<uint64_t>(size.status());
+    if (!crc.ok()) {
+      framed.framing = crc.status();
+      break;
+    }
+    const Result<std::string_view> payload = reader.ReadView(*size);
+    if (!payload.ok()) {
+      framed.framing = payload.status();
+      break;
+    }
+    framed.frames.push_back({*payload, *crc, offset()});
+  }
+  return framed;
+}
 
 }  // namespace
 
@@ -624,89 +687,91 @@ Result<IngestJournal> IngestJournal::Open(JournalOptions options,
         "directory to start fresh");
   }
 
-  // Scan every segment in order. Only the newest segment may end in a torn
-  // or CRC-failing tail (a crash mid-append); anything else is DataLoss.
-  uint64_t running_next = 0;
-  bool have_frames = false;
-  uint64_t last_good_end = 0;  // byte offset after the last intact frame
+  // Scan in three passes. (1) Frame each segment in order: read it, check
+  // its header and find each frame's bounds, stopping at the first segment
+  // that cannot be framed. (2) CRC-check and decode every frame in
+  // parallel. (3) Settle in frame order, so every decision — the first
+  // failing frame wins, only the newest segment may end in a torn or
+  // CRC-failing tail (a crash mid-append), anything else is DataLoss — is
+  // the one a frame-by-frame scan makes.
+  const Stopwatch scan_clock;
+  std::vector<FramedSegment> framed;
+  Status framing_error;  // what stopped pass (1), reported in order
   for (size_t i = 0; i < segments.size(); ++i) {
-    const SegmentFile& segment = segments[i];
-    const bool last_segment = i + 1 == segments.size();
-    if (i > 0 && segment.number != segments[i - 1].number + 1) {
-      return Status::DataLoss("journal segment numbering has a gap before '" +
-                              segment.path + "'");
+    if (i > 0 && segments[i].number != segments[i - 1].number + 1) {
+      framing_error = Status::DataLoss(
+          "journal segment numbering has a gap before '" + segments[i].path +
+          "'");
+      break;
     }
-    CHURNLAB_ASSIGN_OR_RETURN(BinaryReader reader,
-                              BinaryReader::OpenFile(segment.path));
-    const uint64_t total = reader.remaining();
-    const auto offset = [&] { return total - reader.remaining(); };
-    const Status bad_header = Status::DataLoss(
-        "journal segment '" + segment.path + "' has a corrupted header");
-    Result<std::string> magic = reader.ReadBytes(kJournalMagicSize);
-    if (!magic.ok() ||
-        *magic != std::string_view(kSegmentMagic, kJournalMagicSize)) {
-      return bad_header;
+    Result<FramedSegment> segment = FrameSegment(segments[i]);
+    if (!segment.ok()) {
+      framing_error = segment.status();
+      break;
     }
-    const Result<uint64_t> version = reader.ReadVarint();
-    if (!version.ok() || *version != kJournalVersion) return bad_header;
-    const Result<uint64_t> number = reader.ReadVarint();
-    if (!number.ok() || *number != segment.number) return bad_header;
+    framed.push_back(std::move(*segment));
+  }
 
-    uint64_t good_end = offset();
-    uint64_t segment_frames = 0;
+  std::vector<const RawFrame*> raw;
+  for (const FramedSegment& segment : framed) {
+    for (const RawFrame& frame : segment.frames) raw.push_back(&frame);
+  }
+  std::vector<JournalFrame> decoded(raw.size());
+  std::vector<Status> decode_status(raw.size());
+  const size_t scan_threads =
+      std::max<size_t>(1, std::thread::hardware_concurrency());
+  ParallelFor(0, raw.size(), scan_threads, [&](size_t i) {
+    const RawFrame& frame = *raw[i];
+    if (Crc32(frame.payload.data(), frame.payload.size()) != frame.crc) {
+      decode_status[i] = Status::IOError("journal frame failed its CRC check");
+    } else {
+      decode_status[i] = ParseFramePayload(frame.payload, &decoded[i]);
+    }
+  });
+
+  uint64_t running_next = 0;
+  size_t accepted = 0;  // decoded[0, accepted) are the intact frames
+  uint64_t last_good_end = 0;  // byte offset after the last intact frame
+  for (size_t i = 0; i < framed.size(); ++i) {
+    const SegmentFile& segment = segments[i];
+    const FramedSegment& frames = framed[i];
+    const bool last_segment = i + 1 == segments.size();
+    uint64_t good_end = frames.header_end;
     Status torn = Status::OK();
-    while (!reader.AtEnd()) {
-      JournalFrame frame;
-      Status frame_status = Status::OK();
-      const Result<uint64_t> size = reader.ReadVarint();
-      const Result<uint64_t> crc =
-          size.ok() ? reader.ReadVarint() : Result<uint64_t>(size.status());
-      if (!crc.ok()) {
-        frame_status = crc.status();
-      } else {
-        Result<std::string> payload = reader.ReadBytes(*size);
-        if (!payload.ok()) {
-          frame_status = payload.status();
-        } else if (Crc32(payload->data(), payload->size()) != *crc) {
-          frame_status =
-              Status::IOError("journal frame failed its CRC check");
-        } else {
-          frame_status = ParseFramePayload(std::move(*payload), &frame);
-        }
-      }
-      if (!frame_status.ok()) {
-        if (!last_segment) {
-          return Status::DataLoss(
-              "journal segment '" + segment.path +
-              "' has a corrupted interior frame: " + frame_status.message());
-        }
-        torn = frame_status;
+    for (const RawFrame& raw_frame : frames.frames) {
+      if (!decode_status[accepted].ok()) {
+        torn = std::move(decode_status[accepted]);
         break;
       }
-      if (have_frames && frame.first_sequence != running_next) {
+      const JournalFrame& frame = decoded[accepted];
+      if (accepted > 0 && frame.first_sequence != running_next) {
         return Status::DataLoss(
             "journal sequence gap in '" + segment.path + "': frame starts at " +
             std::to_string(frame.first_sequence) + ", expected " +
             std::to_string(running_next));
       }
-      have_frames = true;
       running_next = frame.end_sequence();
-      good_end = offset();
-      ++segment_frames;
-      out->frames.push_back(std::move(frame));
+      good_end = raw_frame.end;
+      ++accepted;
       ++out->frames_scanned;
+    }
+    if (torn.ok()) torn = frames.framing;
+    if (!torn.ok() && !last_segment) {
+      return Status::DataLoss("journal segment '" + segment.path +
+                              "' has a corrupted interior frame: " +
+                              torn.message());
     }
     ++out->segments_scanned;
     if (!torn.ok()) {
       // Torn tail of the newest segment: discard it, truncate the file at
       // the last intact frame, and keep appending from there.
       ++out->discarded_tail_frames;
-      out->discarded_tail_bytes += total - good_end;
+      out->discarded_tail_bytes += frames.total - good_end;
       Metrics().discarded_tail_frames->Increment();
       obs::LogEvent(LogLevel::kWarning, "journal_torn_tail", __FILE__,
                     __LINE__)
           .Str("segment", segment.path)
-          .Uint("discarded_bytes", total - good_end)
+          .Uint("discarded_bytes", frames.total - good_end)
           .Str("reason", torn.message());
       if (!journal.options_.read_only &&
           ::truncate(segment.path.c_str(),
@@ -716,20 +781,25 @@ Result<IngestJournal> IngestJournal::Open(JournalOptions options,
       }
       last_good_end = good_end;
     } else {
-      last_good_end = total;
+      last_good_end = frames.total;
     }
 
+    const bool segment_has_frames = good_end > frames.header_end;
     if (last_segment) {
-      journal.active_segment_has_frames_ = segment_frames > 0;
+      journal.active_segment_has_frames_ = segment_has_frames;
     } else {
       journal.sealed_segment_ends_.emplace_back(segment.number,
                                                 running_next);
     }
   }
+  if (!framing_error.ok()) return framing_error;
+  framed.clear();
+  decoded.resize(accepted);
+  out->frames = std::move(decoded);
 
   // A journal that was never checkpointed must start at sequence 0 — a
   // nonzero start would mean earlier acknowledged receipts are nowhere.
-  if (have_frames && out->watermark == 0 && !out->frames.empty() &&
+  if (out->watermark == 0 && !out->frames.empty() &&
       out->frames.front().first_sequence != 0) {
     return Status::DataLoss(
         "journal begins at sequence " +
@@ -790,6 +860,7 @@ Result<IngestJournal> IngestJournal::Open(JournalOptions options,
   for (const JournalFrame& frame : out->frames) {
     recovered_receipts += frame.receipts.size();
   }
+  out->scan_ms = scan_clock.ElapsedMillis();
   if (out->frames_scanned > 0 || out->watermark > 0) {
     Metrics().recovered_frames->Increment(out->frames.size());
     Metrics().recovered_receipts->Increment(recovered_receipts);
@@ -799,7 +870,9 @@ Result<IngestJournal> IngestJournal::Open(JournalOptions options,
         .Uint("frames", out->frames.size())
         .Uint("receipts", recovered_receipts)
         .Uint("next_sequence", out->next_sequence)
-        .Uint("discarded_tail_frames", out->discarded_tail_frames);
+        .Uint("discarded_tail_frames", out->discarded_tail_frames)
+        .Num("scan_ms", out->scan_ms)
+        .Uint("threads", scan_threads);
   }
   return journal;
 }

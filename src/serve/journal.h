@@ -40,7 +40,8 @@ namespace serve {
 /// payload serializes (first_sequence, receipts). A torn or CRC-failing
 /// tail — a crash mid-append — is cleanly discarded on recovery; any other
 /// corruption (an interior frame, a sequence gap) is a hard DataLoss error,
-/// never a silent skip.
+/// never a silent skip. The recovery scan CRC-checks and decodes frames on
+/// every core, then settles these decisions in frame order.
 
 /// When appended frames are flushed to stable storage.
 enum class FsyncPolicy {
@@ -124,6 +125,9 @@ struct JournalRecovery {
   /// Torn / CRC-failing tail frames discarded from the newest segment.
   uint64_t discarded_tail_frames = 0;
   uint64_t discarded_tail_bytes = 0;
+  /// Wall time of the scan (framing, parallel decode, settling), for the
+  /// recovery log events.
+  double scan_ms = 0.0;
 };
 
 /// \brief Append-only, CRC-framed, generation-numbered write-ahead journal
