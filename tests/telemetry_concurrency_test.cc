@@ -29,6 +29,11 @@ constexpr int kOpsPerWriter = 20000;
 TEST(TelemetryConcurrency, ExportWhileWorkersRecord) {
   MetricsRegistry registry;
   std::atomic<bool> stop{false};
+  // Register the shared metrics before any thread starts: an export that
+  // runs before the first writer is scheduled must still have something
+  // to export (an empty registry exports an empty document).
+  registry.GetCounter("hammer.shared");
+  registry.GetHistogram("hammer.lat_us");
 
   std::vector<std::thread> writers;
   for (int t = 0; t < kWriterThreads; ++t) {
