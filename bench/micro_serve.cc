@@ -314,7 +314,8 @@ BENCHMARK(BM_JournalCheckpoint);
 
 // Crash-recovery scan: reopening a journal of `range(0)` 64-receipt frames
 // read-only and decoding every frame — the startup cost --recover pays per
-// un-checkpointed frame.
+// un-checkpointed frame. Frames decode on worker threads, so compare real
+// time: the CPU column and items_per_second count the calling thread only.
 void BM_JournalRecoveryScan(benchmark::State& state) {
   const size_t num_frames = static_cast<size_t>(state.range(0));
   const std::string dir =
@@ -353,7 +354,8 @@ BENCHMARK(BM_JournalRecoveryScan)->Arg(64)->Arg(1024);
 // Crash restart end to end: scan a journal of 256 coalesced 1,024-receipt
 // frames of the bench stream (repeated in laps shifted past its last day,
 // so every customer stays chronological), then replay it into a fresh
-// 16-shard fleet with ScoringFleet::Recover.
+// 16-shard fleet with ScoringFleet::Recover. Both run on worker threads,
+// so compare real time, as for BM_JournalRecoveryScan.
 void BM_FleetRecover(benchmark::State& state) {
   constexpr size_t kFrames = 256;
   constexpr size_t kFrameReceipts = 1024;

@@ -138,7 +138,7 @@ Result<BinaryReader> BinaryReader::OpenFile(const std::string& path) {
   // Size the buffer from the file's length and fill it in place; a file
   // that grew since fstat is read on to its end.
   std::string buffer;
-  struct stat info;
+  struct stat info{};
   bool failed = ::fstat(fd, &info) != 0;
   if (!failed) buffer.resize(static_cast<size_t>(info.st_size));
   size_t filled = 0;

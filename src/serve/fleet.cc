@@ -907,7 +907,6 @@ Result<ScoringFleet> ScoringFleet::Recover(
   const size_t replay_threads = std::max<size_t>(
       {serving_threads, std::thread::hardware_concurrency(), 1});
   fleet.options_.num_threads = replay_threads;
-  fleet.pool_.reset();
   uint64_t replayed_receipts = 0;
   for (const JournalFrame& frame : recovery.frames) {
     Result<BatchReport> report = fleet.IngestBatch(frame.receipts);
