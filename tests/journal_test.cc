@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -462,6 +463,122 @@ TEST(JournalRecoveryTest, RecoverRestoresCheckpointedGenerationNotNewest) {
       recovery, snapshot_path, RecoveryFleetOptions(), nullptr);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(BareSnapshotOf(*recovered), BareSnapshotOf(oracle));
+}
+
+// The "server" of the by-ref lookup cases: journals receipts [0, 30),
+// appends the fleet's generation to `snapshot_path` and checkpoints it,
+// then journals [30, 50) with no further checkpoint. Returns the
+// read-only recovery scan of the journal.
+JournalRecovery JournalWithCheckpointedGeneration(
+    const std::string& dir, const std::string& snapshot_path) {
+  JournalOptions options;
+  options.directory = dir;
+  options.fsync = FsyncPolicy::kNone;
+  {
+    auto journal = IngestJournal::Open(options).ValueOrDie();
+    auto fleet =
+        ScoringFleet::Make(RecoveryFleetOptions(), nullptr).ValueOrDie();
+    const std::vector<Receipt> first = MakeReceipts(0, 30);
+    EXPECT_TRUE(journal.Append(0, first).ok());
+    EXPECT_TRUE(fleet.IngestBatch(first).ok());
+    const SnapshotRef ref =
+        fleet.AppendSnapshotGeneration(snapshot_path).ValueOrDie();
+    EXPECT_TRUE(journal.Checkpoint(30, ref).ok());
+    EXPECT_TRUE(journal.Append(30, MakeReceipts(30, 20)).ok());
+  }
+  options.recover = true;
+  options.read_only = true;
+  JournalRecovery recovery;
+  EXPECT_TRUE(IngestJournal::Open(options, &recovery).ok());
+  return recovery;
+}
+
+TEST(JournalRecoveryTest, RecoverFindsCheckpointedGenerationPastBadNeighbours) {
+  const std::string dir = FreshDir("journal_ckpt_neighbours");
+  const std::string snapshot_path =
+      testing::TempDir() + "/journal_ckpt_neighbours.gens";
+  std::filesystem::remove(snapshot_path);
+
+  // An earlier generation whose payload fails its CRC...
+  {
+    auto earlier =
+        ScoringFleet::Make(RecoveryFleetOptions(), nullptr).ValueOrDie();
+    ASSERT_TRUE(earlier.IngestBatch(MakeReceipts(0, 10)).ok());
+    ASSERT_TRUE(earlier.AppendSnapshotGeneration(snapshot_path).ok());
+    std::fstream file(snapshot_path,
+                      std::ios::binary | std::ios::in | std::ios::out);
+    file.seekg(-1, std::ios::end);
+    const char last = static_cast<char>(file.get());
+    file.seekp(-1, std::ios::end);
+    file.put(static_cast<char>(last ^ 0x01));
+  }
+  // ...then the checkpointed one...
+  const JournalRecovery recovery =
+      JournalWithCheckpointedGeneration(dir, snapshot_path);
+  // ...then a torn tail: a generation header whose payload never landed.
+  BinaryWriter torn;
+  torn.WriteBytes("CHLFGENS", 8);
+  torn.WriteVarint(4096);
+  torn.WriteVarint(7);
+  torn.WriteBytes("partial", 7);
+  ASSERT_TRUE(torn.AppendToFile(snapshot_path).ok());
+
+  auto oracle =
+      ScoringFleet::Make(RecoveryFleetOptions(), nullptr).ValueOrDie();
+  ASSERT_TRUE(oracle.IngestBatch(MakeReceipts(0, 50)).ok());
+  Result<ScoringFleet> recovered = ScoringFleet::Recover(
+      recovery, snapshot_path, RecoveryFleetOptions(), nullptr);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(BareSnapshotOf(*recovered), BareSnapshotOf(oracle));
+}
+
+TEST(JournalRecoveryTest, RecoverRejectsGenerationFileMissingTheCheckpoint) {
+  const std::string dir = FreshDir("journal_ckpt_missing");
+  const std::string snapshot_path =
+      testing::TempDir() + "/journal_ckpt_missing.gens";
+  std::filesystem::remove(snapshot_path);
+  const JournalRecovery recovery =
+      JournalWithCheckpointedGeneration(dir, snapshot_path);
+
+  // The file is replaced by one holding only some other generation.
+  std::filesystem::remove(snapshot_path);
+  auto other =
+      ScoringFleet::Make(RecoveryFleetOptions(), nullptr).ValueOrDie();
+  ASSERT_TRUE(other.IngestBatch(MakeReceipts(0, 10)).ok());
+  ASSERT_TRUE(other.AppendSnapshotGeneration(snapshot_path).ok());
+
+  const Result<ScoringFleet> recovered = ScoringFleet::Recover(
+      recovery, snapshot_path, RecoveryFleetOptions(), nullptr);
+  ASSERT_EQ(recovered.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(recovered.status().message().find(
+                "holds no generation matching the journal checkpoint"),
+            std::string::npos)
+      << recovered.status().ToString();
+}
+
+TEST(JournalRecoveryTest, RecoverRejectsBareFileWhereGenerationCheckpointed) {
+  const std::string dir = FreshDir("journal_ckpt_bare");
+  const std::string snapshot_path =
+      testing::TempDir() + "/journal_ckpt_bare.gens";
+  std::filesystem::remove(snapshot_path);
+  const JournalRecovery recovery =
+      JournalWithCheckpointedGeneration(dir, snapshot_path);
+
+  // A bare snapshot of the very state that was checkpointed still is not
+  // the generation the checkpoint names.
+  auto same =
+      ScoringFleet::Make(RecoveryFleetOptions(), nullptr).ValueOrDie();
+  ASSERT_TRUE(same.IngestBatch(MakeReceipts(0, 30)).ok());
+  ASSERT_TRUE(same.SaveSnapshotToFile(snapshot_path).ok());
+
+  const Result<ScoringFleet> recovered = ScoringFleet::Recover(
+      recovery, snapshot_path, RecoveryFleetOptions(), nullptr);
+  ASSERT_EQ(recovered.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(recovered.status().message().find(
+                "is not the generation file the journal checkpoint "
+                "references"),
+            std::string::npos)
+      << recovered.status().ToString();
 }
 
 TEST(JournalRecoveryTest, FreshJournalRecoversToFreshFleet) {
