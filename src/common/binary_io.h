@@ -37,9 +37,11 @@ class BinaryWriter {
   /// never of the in-memory buffer).
   Status SaveToFile(const std::string& path) const;
 
-  /// Appends the accumulated buffer to `path` (creating it if absent).
-  /// Used by append-only formats such as fleet snapshot generations. Same
-  /// failpoint site as SaveToFile.
+  /// Appends the accumulated buffer to `path` (creating it if absent) and
+  /// fsyncs it, and the directory entry of a file it created, before
+  /// returning: the append is durable once this succeeds. Used by
+  /// append-only formats such as fleet snapshot generations. Same failpoint
+  /// site as SaveToFile.
   Status AppendToFile(const std::string& path) const;
 
  private:
