@@ -65,7 +65,7 @@ start_server() {
   shift 2
   "${CLI}" serve-http --data "${DATASET}" --port 0 \
       --journal "${JOURNAL}" --journal-fsync "${fsync}" \
-      --snapshot-out "${SNAPSHOT}" --snapshot-append \
+      --snapshot-out "${SNAPSHOT}" \
       --snapshot-interval-ms 100 "$@" > "${log}" 2>&1 &
   SERVER_PID=$!
   PORT=""

@@ -102,25 +102,51 @@ Result<FleetHandle> OpenSnapshot(const std::string& path,
   return FleetHandle(std::move(fleet));
 }
 
+namespace {
+
+/// What one crash recovery yields: the journal, opened with `recover`; the
+/// fleet rebuilt from the checkpointed snapshot plus the journal frames;
+/// and the scan summary, whose frames are released once replayed.
+struct Recovery {
+  serve::IngestJournal journal;
+  serve::ScoringFleet fleet;
+  serve::JournalRecovery summary;
+};
+
+Result<Recovery> RecoverFromJournal(serve::JournalOptions journal_options,
+                                    const std::string& snapshot_path,
+                                    const FleetOptions& fleet_options,
+                                    const Dataset& dataset,
+                                    size_t num_threads) {
+  journal_options.recover = true;
+  serve::JournalRecovery summary;
+  CHURNLAB_ASSIGN_OR_RETURN(
+      serve::IngestJournal journal,
+      serve::IngestJournal::Open(journal_options, &summary));
+  CHURNLAB_ASSIGN_OR_RETURN(
+      serve::ScoringFleet fleet,
+      serve::ScoringFleet::Recover(summary, snapshot_path, fleet_options,
+                                   &dataset.taxonomy(), num_threads));
+  summary.frames.clear();
+  summary.frames.shrink_to_fit();
+  return Recovery{std::move(journal), std::move(fleet), std::move(summary)};
+}
+
+}  // namespace
+
 Result<RecoveredFleet> RecoverFleet(const std::string& journal_dir,
                                     const std::string& snapshot_path,
                                     FleetOptions fresh_options,
                                     const Dataset& dataset) {
   serve::JournalOptions journal_options;
   journal_options.directory = journal_dir;
-  journal_options.recover = true;
   journal_options.read_only = true;
-  serve::JournalRecovery recovery;
   CHURNLAB_ASSIGN_OR_RETURN(
-      serve::IngestJournal journal,
-      serve::IngestJournal::Open(journal_options, &recovery));
-  CHURNLAB_ASSIGN_OR_RETURN(
-      serve::ScoringFleet fleet,
-      serve::ScoringFleet::Recover(recovery, snapshot_path, fresh_options,
-                                   &dataset.taxonomy()));
-  recovery.frames.clear();
-  recovery.frames.shrink_to_fit();
-  return RecoveredFleet{FleetHandle(std::move(fleet)), std::move(recovery)};
+      Recovery recovery,
+      RecoverFromJournal(journal_options, snapshot_path, fresh_options,
+                         dataset, /*num_threads=*/0));
+  return RecoveredFleet{FleetHandle(std::move(recovery.fleet)),
+                        std::move(recovery.summary)};
 }
 
 // ---------------------------------------------------------------------------
@@ -155,24 +181,15 @@ Result<ServerHandle> ServerHandle::Recover(Options options,
   serve::JournalOptions journal_options;
   journal_options.directory = options.journal_dir;
   journal_options.fsync = options.journal_fsync;
-  journal_options.recover = true;
-  serve::JournalRecovery recovery;
   CHURNLAB_ASSIGN_OR_RETURN(
-      serve::IngestJournal opened,
-      serve::IngestJournal::Open(journal_options, &recovery));
-  CHURNLAB_ASSIGN_OR_RETURN(
-      serve::ScoringFleet fleet,
-      serve::ScoringFleet::Recover(recovery, options.snapshot_path,
-                                   fleet_options, &dataset.taxonomy(),
-                                   num_threads));
-  recovery.frames.clear();
-  recovery.frames.shrink_to_fit();
-  if (recovery_out != nullptr) *recovery_out = recovery;
-  auto owned_fleet = std::make_unique<FleetHandle>(
-      FleetHandle(std::move(fleet)));
-  auto journal = std::make_unique<serve::IngestJournal>(std::move(opened));
-  return Assemble(std::move(options), std::move(owned_fleet),
-                  std::move(journal));
+      Recovery recovery,
+      RecoverFromJournal(journal_options, options.snapshot_path,
+                         fleet_options, dataset, num_threads));
+  if (recovery_out != nullptr) *recovery_out = std::move(recovery.summary);
+  return Assemble(
+      std::move(options),
+      std::make_unique<FleetHandle>(FleetHandle(std::move(recovery.fleet))),
+      std::make_unique<serve::IngestJournal>(std::move(recovery.journal)));
 }
 
 Result<ServerHandle> ServerHandle::Assemble(
@@ -183,12 +200,6 @@ Result<ServerHandle> ServerHandle::Assemble(
       return Status::InvalidArgument(
           "journaling requires a snapshot path for checkpoints");
     }
-    if (!options.snapshot_append) {
-      return Status::InvalidArgument(
-          "journaling requires append-mode snapshots: a truncating "
-          "snapshot destroys the generation the journal checkpoint "
-          "refers to");
-    }
     // Arrival-sequence numbering continues where the journal stops, so a
     // recovered server's journal frames extend the crashed server's
     // sequence space with no gap or overlap.
@@ -196,7 +207,6 @@ Result<ServerHandle> ServerHandle::Assemble(
   }
   net::FleetBackend::Options backend_options;
   backend_options.snapshot_path = std::move(options.snapshot_path);
-  backend_options.snapshot_append = options.snapshot_append;
   backend_options.journal = journal.get();
   auto backend = std::make_unique<net::FleetBackend>(
       &fleet->fleet_, std::move(backend_options));

@@ -306,17 +306,14 @@ class ServerHandle {
   struct Options {
     net::ServerOptions http;
     /// Drain-time / POST /v1/snapshot destination; empty disables both.
+    /// Every snapshot appends one generation to this file, so a journal
+    /// checkpoint can name the exact generation it covers.
     std::string snapshot_path;
-    /// Append generations (crash-tolerant) versus truncate-and-write.
-    /// Must stay true when a journal is configured: checkpoints name the
-    /// exact snapshot generation they cover, and a truncating snapshot
-    /// would destroy the previous checkpoint's bytes mid-write.
-    bool snapshot_append = true;
     /// Durable ingest journal directory; empty disables journaling. When
     /// set, every coalesced ingest batch is appended (and synced per
     /// `journal_fsync`) BEFORE it is applied or acknowledged, and every
     /// snapshot doubles as a checkpoint that truncates the journal.
-    /// Requires a snapshot_path and snapshot_append.
+    /// Requires a snapshot_path.
     std::string journal_dir;
     /// When to fsync journal appends (serve::FsyncPolicy).
     serve::FsyncPolicy journal_fsync = serve::FsyncPolicy::kBatch;

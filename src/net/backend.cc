@@ -49,23 +49,10 @@ Result<std::string> FleetBackend::Snapshot() {
         "no snapshot path configured (start the server with one to enable "
         "POST /v1/snapshot and the drain-time flush)");
   }
-  if (options_.journal != nullptr && !options_.snapshot_append) {
-    // A truncating snapshot destroys the previous checkpoint's bytes before
-    // the new checkpoint record lands — a crash in that window would leave
-    // nothing to recover from. Journaling therefore requires the
-    // append-mode generation format (enforced at startup too).
-    return Status::InvalidArgument(
-        "journaling requires append-mode snapshots");
-  }
   std::lock_guard<std::mutex> lock(mutex_);
-  serve::SnapshotRef ref;
-  if (options_.snapshot_append) {
-    CHURNLAB_ASSIGN_OR_RETURN(
-        ref, fleet_->AppendSnapshotGeneration(options_.snapshot_path));
-  } else {
-    CHURNLAB_ASSIGN_OR_RETURN(
-        ref, fleet_->SaveSnapshotWithRef(options_.snapshot_path));
-  }
+  CHURNLAB_ASSIGN_OR_RETURN(
+      const serve::SnapshotRef ref,
+      fleet_->AppendSnapshotGeneration(options_.snapshot_path));
   if (options_.journal != nullptr) {
     // Under the mutex every journaled receipt is applied, so the journal's
     // next sequence IS the snapshot's watermark; segments at or below it

@@ -64,12 +64,10 @@ class ScoringBackend {
 class FleetBackend final : public ScoringBackend {
  public:
   struct Options {
-    /// Snapshot destination; empty disables POST /v1/snapshot and the
-    /// drain-time flush (FailedPrecondition).
+    /// Snapshot destination: every snapshot appends one generation to
+    /// this crash-tolerant "CHLFGENS" file. Empty disables POST
+    /// /v1/snapshot and the drain-time flush (FailedPrecondition).
     std::string snapshot_path;
-    /// Append a generation (crash-tolerant CHLFGENS, the default) versus
-    /// truncating with a bare snapshot.
-    bool snapshot_append = true;
     /// Write-ahead ingest journal (borrowed; may be null). When set, every
     /// batch is appended before the fleet applies it, WaitDurable is the
     /// journal's group commit (SyncThrough), and Snapshot() checkpoints

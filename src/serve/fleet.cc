@@ -1,6 +1,7 @@
 #include "serve/fleet.h"
 
 #include <algorithm>
+#include <optional>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -591,22 +592,6 @@ Result<SnapshotRef> ScoringFleet::AppendSnapshotGeneration(
   return ref;
 }
 
-Result<SnapshotRef> ScoringFleet::SaveSnapshotWithRef(
-    const std::string& path) const {
-  SnapshotRef ref;
-  const Status written =
-      RetryWithBackoff(options_.shard_retry, [&]() -> Status {
-        BinaryWriter writer;
-        CHURNLAB_RETURN_NOT_OK(SaveSnapshot(&writer));
-        ref.kind = SnapshotRef::Kind::kBare;
-        ref.size = writer.buffer().size();
-        ref.crc = Crc32(writer.buffer().data(), writer.buffer().size());
-        return writer.SaveToFile(path);
-      });
-  if (!written.ok()) return written;
-  return ref;
-}
-
 Result<ScoringFleet> ScoringFleet::Restore(BinaryReader* reader,
                                            const retail::Taxonomy* taxonomy,
                                            const FleetOptions& runtime) {
@@ -721,72 +706,114 @@ Result<CustomerQuery> ScoringFleet::QueryCustomer(
       });
 }
 
+namespace {
+
+/// Walks the generations of a "CHLFGENS" file's `bytes` in file order,
+/// calling `visit(stored size, stored CRC, payload view)` on each until it
+/// returns true. A generation that does not start with the magic or cannot
+/// be parsed ends the walk as a torn tail (a crashed or partially-retried
+/// append). Returns whether the walk ended torn.
+template <typename Visit>
+bool WalkGenerations(std::string_view bytes, Visit visit) {
+  BinaryReader reader = BinaryReader::Over(bytes);
+  while (!reader.AtEnd()) {
+    const Result<std::string_view> magic = reader.ReadView(
+        std::min<size_t>(kSnapshotMagicSize, reader.remaining()));
+    if (!magic.ok() || !magic->starts_with(kGenerationMagic)) return true;
+    const Result<uint64_t> size = reader.ReadVarint();
+    if (!size.ok()) return true;
+    const Result<uint64_t> crc = reader.ReadVarint();
+    if (!crc.ok()) return true;
+    const Result<std::string_view> payload = reader.ReadView(*size);
+    if (!payload.ok()) return true;
+    if (visit(*size, *crc, *payload)) return false;
+  }
+  return false;
+}
+
+/// Restores the generation a journal checkpoint names: the one whose
+/// stored size and CRC, and recomputed CRC, match `ref`. A torn tail ends
+/// the search — the checkpointed generation always precedes it, so a tear
+/// can only hide an orphan generation that was never checkpointed.
+Result<ScoringFleet> RestoreByRef(const std::string& path,
+                                  const SnapshotRef& ref,
+                                  const retail::Taxonomy* taxonomy,
+                                  const FleetOptions& runtime) {
+  CHURNLAB_ASSIGN_OR_RETURN(BinaryReader file, BinaryReader::OpenFile(path));
+  CHURNLAB_ASSIGN_OR_RETURN(const std::string_view bytes,
+                            file.ReadView(file.remaining()));
+  if (bytes.size() < kSnapshotMagicSize) {
+    return Status::DataLoss("snapshot '" + path +
+                            "' is too short for the journal checkpoint");
+  }
+  if (!bytes.starts_with(kGenerationMagic)) {
+    return Status::DataLoss("snapshot '" + path +
+                            "' is not the generation file the journal "
+                            "checkpoint references");
+  }
+  std::optional<std::string_view> match;
+  WalkGenerations(bytes, [&](uint64_t size, uint64_t crc,
+                             std::string_view payload) {
+    if (size == ref.size && crc == ref.crc &&
+        Crc32(payload.data(), payload.size()) == ref.crc) {
+      match = payload;
+    }
+    return match.has_value();
+  });
+  if (!match) {
+    return Status::DataLoss(
+        "snapshot '" + path +
+        "' holds no generation matching the journal checkpoint");
+  }
+  BinaryReader snapshot = BinaryReader::Over(*match);
+  return ScoringFleet::Restore(&snapshot, taxonomy, runtime);
+}
+
+}  // namespace
+
 Result<ScoringFleet> ScoringFleet::RestoreFromFile(
     const std::string& path, const retail::Taxonomy* taxonomy,
     const FleetOptions& runtime) {
-  CHURNLAB_ASSIGN_OR_RETURN(BinaryReader reader,
-                            BinaryReader::OpenFile(path));
-  if (reader.remaining() < kSnapshotMagicSize) {
+  CHURNLAB_ASSIGN_OR_RETURN(BinaryReader file, BinaryReader::OpenFile(path));
+  CHURNLAB_ASSIGN_OR_RETURN(const std::string_view bytes,
+                            file.ReadView(file.remaining()));
+  if (bytes.size() < kSnapshotMagicSize) {
     return Status::IOError("'" + path + "' is too short to be a snapshot");
   }
-  CHURNLAB_ASSIGN_OR_RETURN(std::string magic,
-                            reader.ReadBytes(kSnapshotMagicSize));
-  if (magic != std::string_view(kGenerationMagic, kSnapshotMagicSize)) {
-    // Bare snapshot: re-open so Restore sees the magic it expects.
-    CHURNLAB_ASSIGN_OR_RETURN(BinaryReader bare,
-                              BinaryReader::OpenFile(path));
+  if (!bytes.starts_with(kGenerationMagic)) {
+    // A bare snapshot: Restore reads it from its own magic on.
+    BinaryReader bare = BinaryReader::Over(bytes);
     return Restore(&bare, taxonomy, runtime);
   }
 
-  // Generation file: scan frames, keep the newest whose CRC verifies. A
-  // frame that cannot be parsed ends the scan (torn tail from a crashed or
-  // partially-retried append); a parseable frame with a bad CRC is skipped.
+  // Generation file: keep the newest generation whose CRC verifies; one
+  // with a bad CRC is skipped.
   static Failpoint* const read_frame_failpoint =
       FailpointRegistry::Global().Get("serve.snapshot.read_frame");
-  std::string newest;
-  bool have_valid = false;
+  std::optional<std::string_view> newest;
   uint64_t generations = 0;
   uint64_t crc_failures = 0;
-  bool torn = false;
-  for (;;) {
-    const Result<uint64_t> size = reader.ReadVarint();
-    if (!size.ok()) {
-      torn = true;
-      break;
-    }
-    const Result<uint64_t> crc = reader.ReadVarint();
-    if (!crc.ok()) {
-      torn = true;
-      break;
-    }
-    Result<std::string> payload = reader.ReadBytes(*size);
-    if (!payload.ok()) {
-      torn = true;
-      break;
-    }
+  Status injected;
+  const bool torn = WalkGenerations(bytes, [&](uint64_t, uint64_t crc,
+                                               std::string_view payload) {
+    std::string_view read = payload;
+    std::string corrupted;
     if (read_frame_failpoint->armed()) {
-      CHURNLAB_RETURN_NOT_OK(
-          read_frame_failpoint->CorruptBytes(&*payload, generations));
+      corrupted = payload;
+      injected = read_frame_failpoint->CorruptBytes(&corrupted, generations);
+      if (!injected.ok()) return true;
+      read = corrupted;
     }
     ++generations;
-    if (Crc32(payload->data(), payload->size()) != *crc) {
+    if (Crc32(read.data(), read.size()) != crc) {
       ++crc_failures;
     } else {
-      newest = std::move(*payload);
-      have_valid = true;
+      newest = payload;  // a copy that passes the CRC holds no flipped bit
     }
-    if (reader.AtEnd()) break;
-    const Result<std::string> next_magic =
-        reader.ReadBytes(std::min<size_t>(kSnapshotMagicSize,
-                                          reader.remaining()));
-    if (!next_magic.ok() ||
-        *next_magic !=
-            std::string_view(kGenerationMagic, kSnapshotMagicSize)) {
-      torn = true;
-      break;
-    }
-  }
-  if (!have_valid) {
+    return false;
+  });
+  CHURNLAB_RETURN_NOT_OK(injected);
+  if (!newest) {
     return Status::IOError("snapshot generation file '" + path +
                            "' holds no restorable generation");
   }
@@ -799,69 +826,9 @@ Result<ScoringFleet> ScoringFleet::RestoreFromFile(
         .Bool("torn_tail", torn);
     Metrics().snapshot_fallbacks->Increment();
   }
-  BinaryReader newest_reader(std::move(newest));
-  return Restore(&newest_reader, taxonomy, runtime);
+  BinaryReader snapshot = BinaryReader::Over(*newest);
+  return Restore(&snapshot, taxonomy, runtime);
 }
-
-namespace {
-
-/// Loads the bare snapshot payload a journal checkpoint names. For a bare
-/// file the whole content must match `ref`; for a generation file the
-/// matching generation is searched for (a torn tail ends the scan — the
-/// checkpointed generation always precedes it, so a tear can only hide an
-/// orphan generation that was never checkpointed).
-Result<std::string> LoadSnapshotByRef(const std::string& path,
-                                      const SnapshotRef& ref) {
-  CHURNLAB_ASSIGN_OR_RETURN(BinaryReader reader,
-                            BinaryReader::OpenFile(path));
-  if (reader.remaining() < kSnapshotMagicSize) {
-    return Status::DataLoss("snapshot '" + path +
-                            "' is too short for the journal checkpoint");
-  }
-  if (ref.kind == SnapshotRef::Kind::kBare) {
-    CHURNLAB_ASSIGN_OR_RETURN(std::string payload,
-                              reader.ReadBytes(reader.remaining()));
-    if (payload.size() != ref.size ||
-        Crc32(payload.data(), payload.size()) != ref.crc) {
-      return Status::DataLoss(
-          "snapshot '" + path +
-          "' does not match the journal checkpoint's size/CRC");
-    }
-    return payload;
-  }
-  CHURNLAB_ASSIGN_OR_RETURN(std::string magic,
-                            reader.ReadBytes(kSnapshotMagicSize));
-  if (magic != std::string_view(kGenerationMagic, kSnapshotMagicSize)) {
-    return Status::DataLoss("snapshot '" + path +
-                            "' is not the generation file the journal "
-                            "checkpoint references");
-  }
-  for (;;) {
-    const Result<uint64_t> size = reader.ReadVarint();
-    if (!size.ok()) break;
-    const Result<uint64_t> crc = reader.ReadVarint();
-    if (!crc.ok()) break;
-    Result<std::string> payload = reader.ReadBytes(*size);
-    if (!payload.ok()) break;
-    if (*size == ref.size && *crc == ref.crc &&
-        Crc32(payload->data(), payload->size()) == ref.crc) {
-      return std::move(*payload);
-    }
-    if (reader.AtEnd()) break;
-    const Result<std::string> next_magic = reader.ReadBytes(
-        std::min<size_t>(kSnapshotMagicSize, reader.remaining()));
-    if (!next_magic.ok() ||
-        *next_magic !=
-            std::string_view(kGenerationMagic, kSnapshotMagicSize)) {
-      break;
-    }
-  }
-  return Status::DataLoss(
-      "snapshot '" + path +
-      "' holds no generation matching the journal checkpoint");
-}
-
-}  // namespace
 
 Result<ScoringFleet> ScoringFleet::Recover(
     const JournalRecovery& recovery, const std::string& snapshot_path,
@@ -885,11 +852,7 @@ Result<ScoringFleet> ScoringFleet::Recover(
           "journal checkpoint references a snapshot but no snapshot path "
           "was given");
     }
-    CHURNLAB_ASSIGN_OR_RETURN(
-        std::string payload,
-        LoadSnapshotByRef(snapshot_path, recovery.snapshot));
-    BinaryReader snapshot(std::move(payload));
-    return Restore(&snapshot, taxonomy, options);
+    return RestoreByRef(snapshot_path, recovery.snapshot, taxonomy, options);
   }();
   if (!base.ok()) {
     return base.status().WithContext("recovering fleet base state");

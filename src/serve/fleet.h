@@ -257,18 +257,15 @@ class ScoringFleet {
   /// write per FleetOptions::shard_retry.
   Status SaveSnapshotToFile(const std::string& path) const;
   /// Appends one CRC-framed snapshot *generation* to `path` (append-only
-  /// "CHLFGENS" format; see docs/ROBUSTNESS.md). RestoreFromFile loads the
-  /// newest valid generation, so a torn tail from a crashed writer loses at
-  /// most the last append.
+  /// "CHLFGENS" format; see docs/ROBUSTNESS.md) and fsyncs it before
+  /// returning. RestoreFromFile loads the newest valid generation, so a
+  /// torn tail from a crashed writer loses at most the last append.
   Status AppendSnapshotToFile(const std::string& path) const;
   /// As AppendSnapshotToFile, additionally returning the exact identity
   /// (size + CRC32) of the appended generation so a journal checkpoint can
   /// name it. Recovery then restores *that* generation — never a newer
   /// orphan one whose receipts are still in the journal.
   Result<SnapshotRef> AppendSnapshotGeneration(const std::string& path) const;
-  /// As SaveSnapshotToFile (bare, truncating "CHLFLEET" format), returning
-  /// the snapshot's identity for a journal checkpoint.
-  Result<SnapshotRef> SaveSnapshotWithRef(const std::string& path) const;
 
   /// Rebuilds a fleet from a snapshot; `taxonomy` is borrowed as in Make.
   /// Scorer, policy, shard count and granularity are read from the

@@ -183,7 +183,8 @@ Status ParseCheckpoint(const std::string& path, uint64_t* watermark,
   const Result<uint64_t> snapshot_crc = body.ReadVarint();
   if (!mark.ok() || !kind.ok() || !snapshot_size.ok() ||
       !snapshot_crc.ok() || !body.AtEnd() ||
-      *kind > static_cast<uint64_t>(SnapshotRef::Kind::kGeneration)) {
+      (*kind != static_cast<uint64_t>(SnapshotRef::Kind::kNone) &&
+       *kind != static_cast<uint64_t>(SnapshotRef::Kind::kGeneration))) {
     return bad;
   }
   *watermark = *mark;

@@ -85,9 +85,10 @@ struct JournalOptions {
 /// generation whose receipts still sit in the un-truncated journal (which
 /// would double-apply them).
 struct SnapshotRef {
+  /// The values are the on-disk encoding; a checkpoint record holding any
+  /// other value, 1 included, is rejected as corruption.
   enum class Kind : uint8_t {
     kNone = 0,        ///< checkpoint without a snapshot (watermark 0 only)
-    kBare = 1,        ///< whole-file "CHLFLEET" snapshot
     kGeneration = 2,  ///< one generation of an append-mode "CHLFGENS" file
   };
   Kind kind = Kind::kNone;

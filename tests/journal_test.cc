@@ -136,7 +136,7 @@ TEST(JournalTest, SegmentsRotateAndCheckpointTruncates) {
 
     // Checkpoint at a mid-stream watermark: only fully-covered segments go.
     SnapshotRef ref;
-    ref.kind = SnapshotRef::Kind::kBare;
+    ref.kind = SnapshotRef::Kind::kGeneration;
     ref.size = 123;
     ref.crc = 456;
     ASSERT_TRUE(journal.Checkpoint(50, ref).ok());
@@ -145,7 +145,7 @@ TEST(JournalTest, SegmentsRotateAndCheckpointTruncates) {
   JournalRecovery recovery;
   auto journal = IngestJournal::Open(options, &recovery).ValueOrDie();
   EXPECT_EQ(recovery.watermark, 50u);
-  EXPECT_EQ(recovery.snapshot.kind, SnapshotRef::Kind::kBare);
+  EXPECT_EQ(recovery.snapshot.kind, SnapshotRef::Kind::kGeneration);
   EXPECT_EQ(recovery.snapshot.size, 123u);
   EXPECT_EQ(recovery.snapshot.crc, 456u);
   ASSERT_FALSE(recovery.frames.empty());
@@ -176,6 +176,26 @@ TEST(JournalTest, CheckpointAtHeadDropsEverySegment) {
   EXPECT_EQ(recovery.next_sequence, 8u);
   // The sequence space continues after the truncation.
   ASSERT_TRUE(journal.Append(8, MakeReceipts(8, 1)).ok());
+}
+
+TEST(JournalTest, CheckpointOfUnknownSnapshotKindIsDataLoss) {
+  const std::string dir = FreshDir("journal_kind_one");
+  JournalOptions options;
+  options.directory = dir;
+  options.fsync = FsyncPolicy::kNone;
+  {
+    auto journal = IngestJournal::Open(options).ValueOrDie();
+    ASSERT_TRUE(journal.Append(0, MakeReceipts(0, 4)).ok());
+    SnapshotRef ref;
+    ref.kind = static_cast<SnapshotRef::Kind>(1);
+    ref.size = 7;
+    ref.crc = 9;
+    ASSERT_TRUE(journal.Checkpoint(4, ref).ok());
+  }
+  options.recover = true;
+  JournalRecovery recovery;
+  EXPECT_EQ(IngestJournal::Open(options, &recovery).status().code(),
+            StatusCode::kDataLoss);
 }
 
 TEST(JournalTest, ReadOnlyScanDoesNotMutate) {

@@ -62,6 +62,17 @@ std::string SnapshotOf(const serve::ScoringFleet& fleet) {
   return writer.buffer();
 }
 
+/// A generation file holding exactly one generation of `payload`: magic,
+/// varint size, varint CRC32, payload.
+std::string OneGenerationOf(const std::string& payload) {
+  BinaryWriter writer;
+  writer.WriteBytes("CHLFGENS", 8);
+  writer.WriteVarint(payload.size());
+  writer.WriteVarint(Crc32(payload.data(), payload.size()));
+  writer.WriteBytes(payload.data(), payload.size());
+  return writer.buffer();
+}
+
 std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream out;
@@ -421,7 +432,6 @@ TEST(HttpServerTest, SnapshotEndpointWritesConfiguredPath) {
   std::remove(path.c_str());
   FleetBackend::Options backend_options;
   backend_options.snapshot_path = path;
-  backend_options.snapshot_append = false;
   TestServer server(ServerOptions{}, backend_options);
   ASSERT_EQ(Call(server.port(), "POST", "/v1/ingest",
                  IngestBody({MakeReceipt(1, 1, {4}), MakeReceipt(2, 1, {5})}))
@@ -431,7 +441,8 @@ TEST(HttpServerTest, SnapshotEndpointWritesConfiguredPath) {
   ASSERT_TRUE(reply.transport_ok);
   EXPECT_EQ(reply.status, 200) << reply.body;
   EXPECT_NE(reply.body.find(path), std::string::npos) << reply.body;
-  EXPECT_EQ(ReadFileBytes(path), SnapshotOf(server.fleet()));
+  EXPECT_EQ(ReadFileBytes(path),
+            OneGenerationOf(SnapshotOf(server.fleet())));
   std::remove(path.c_str());
 }
 
@@ -440,7 +451,6 @@ TEST(HttpServerTest, DrainFlushesFinalSnapshotAndStopsAccepting) {
   std::remove(path.c_str());
   FleetBackend::Options backend_options;
   backend_options.snapshot_path = path;
-  backend_options.snapshot_append = false;
   ServerOptions options;
   options.poll_interval_ms = 10;
   auto server = std::make_unique<TestServer>(options, backend_options);
@@ -453,7 +463,8 @@ TEST(HttpServerTest, DrainFlushesFinalSnapshotAndStopsAccepting) {
   const Status drained = server->server().Wait();
   EXPECT_TRUE(drained.ok()) << drained.ToString();
   EXPECT_TRUE(server->server().draining());
-  EXPECT_EQ(ReadFileBytes(path), SnapshotOf(server->fleet()));
+  EXPECT_EQ(ReadFileBytes(path),
+            OneGenerationOf(SnapshotOf(server->fleet())));
   // The listen socket is gone: new connections fail outright.
   ClientConnection refused(port);
   EXPECT_TRUE(!refused.connected() ||
@@ -581,7 +592,6 @@ TEST(HttpServerTest, JournaledIngestRecoversServerStateByteForByte) {
       serve::ScoringFleet::Make(ServerFleetOptions(), nullptr).ValueOrDie();
   FleetBackend::Options backend_options;
   backend_options.snapshot_path = snapshot_path;
-  backend_options.snapshot_append = true;
   backend_options.journal = &*journal;
   FleetBackend backend(&fleet, backend_options);
   ServerOptions server_options;

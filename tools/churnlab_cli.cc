@@ -622,24 +622,21 @@ Status RunServeHttp(int argc, const char* const* argv) {
   int64_t port, retry_after, poll_ms, snapshot_interval_ms;
   uint64_t net_threads, max_body_mb, max_inflight, max_pending_mb;
   uint64_t coalesce_batch, coalesce_queue, max_request_receipts;
-  bool snapshot_append, recover;
+  bool recover;
   parser.AddString("bind", "127.0.0.1", "IPv4 address to bind", &bind);
   parser.AddInt64("port", 8080, "TCP port (0 = ephemeral)", &port);
   parser.AddUint64("net-threads", 8, "connection worker threads",
                    &net_threads);
   parser.AddString("snapshot-out", "",
-                   "snapshot destination for POST /v1/snapshot and the "
-                   "drain-time flush (empty disables both)",
+                   "generation file for POST /v1/snapshot and the "
+                   "drain-time flush: each snapshot appends one generation "
+                   "(empty disables both)",
                    &snapshot_out);
-  parser.AddBool("snapshot-append", true,
-                 "append snapshot generations instead of truncating",
-                 &snapshot_append);
   parser.AddString("journal", "",
                    "durable ingest journal directory: every coalesced batch "
                    "is appended and synced BEFORE it is applied or "
                    "acknowledged; snapshots checkpoint and truncate it "
-                   "(requires --snapshot-out and --snapshot-append; empty "
-                   "disables)",
+                   "(requires --snapshot-out; empty disables)",
                    &journal);
   parser.AddString("journal-fsync", "batch",
                    "journal durability: always (fsync per append), batch "
@@ -694,11 +691,6 @@ Status RunServeHttp(int argc, const char* const* argv) {
         "--journal requires --snapshot-out (checkpoints need a snapshot "
         "destination)");
   }
-  if (!journal.empty() && !snapshot_append) {
-    return Status::InvalidArgument(
-        "--journal requires --snapshot-append: checkpoints name a snapshot "
-        "generation, which a truncating snapshot would destroy");
-  }
   if (recover && !flags.resume.empty()) {
     return Status::InvalidArgument(
         "--recover and --resume are exclusive: recovery restores the "
@@ -732,7 +724,6 @@ Status RunServeHttp(int argc, const char* const* argv) {
   server_options.http.snapshot_interval_ms =
       static_cast<int>(snapshot_interval_ms);
   server_options.snapshot_path = snapshot_out;
-  server_options.snapshot_append = snapshot_append;
   server_options.journal_dir = journal;
   server_options.journal_fsync = fsync_policy;
 
