@@ -314,8 +314,9 @@ BENCHMARK(BM_JournalCheckpoint);
 
 // Crash-recovery scan: reopening a journal of `range(0)` 64-receipt frames
 // read-only and decoding every frame — the startup cost --recover pays per
-// un-checkpointed frame. Frames decode on worker threads, so compare real
-// time: the CPU column and items_per_second count the calling thread only.
+// un-checkpointed frame. Frames decode on worker threads, so the timing and
+// items_per_second use real time (the calling thread's CPU time would miss
+// the workers).
 void BM_JournalRecoveryScan(benchmark::State& state) {
   const size_t num_frames = static_cast<size_t>(state.range(0));
   const std::string dir =
@@ -349,13 +350,13 @@ void BM_JournalRecoveryScan(benchmark::State& state) {
                           static_cast<int64_t>(num_frames * frame.size()));
   std::filesystem::remove_all(dir);
 }
-BENCHMARK(BM_JournalRecoveryScan)->Arg(64)->Arg(1024);
+BENCHMARK(BM_JournalRecoveryScan)->Arg(64)->Arg(1024)->UseRealTime();
 
 // Crash restart end to end: scan a journal of 256 coalesced 1,024-receipt
 // frames of the bench stream (repeated in laps shifted past its last day,
 // so every customer stays chronological), then replay it into a fresh
 // 16-shard fleet with ScoringFleet::Recover. Both run on worker threads,
-// so compare real time, as for BM_JournalRecoveryScan.
+// so it is timed in real time, as BM_JournalRecoveryScan is.
 void BM_FleetRecover(benchmark::State& state) {
   constexpr size_t kFrames = 256;
   constexpr size_t kFrameReceipts = 1024;
@@ -400,7 +401,7 @@ void BM_FleetRecover(benchmark::State& state) {
                           static_cast<int64_t>(kFrames * kFrameReceipts));
   std::filesystem::remove_all(dir);
 }
-BENCHMARK(BM_FleetRecover)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FleetRecover)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 }  // namespace churnlab
