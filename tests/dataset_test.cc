@@ -2,10 +2,15 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
+#include <iterator>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/binary_io.h"
 
 namespace churnlab {
 namespace retail {
@@ -157,6 +162,68 @@ TEST(Dataset, BinaryRoundTrip) {
   const auto loaded = Dataset::LoadBinary(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ExpectEquivalent(original, loaded.ValueOrDie());
+  std::remove(path.c_str());
+}
+
+TEST(Dataset, BinaryResaveIsByteIdentical) {
+  const Dataset original = MakeTestDataset();
+  const std::string first = testing::TempDir() + "/churnlab_resave_a.clb";
+  const std::string second = testing::TempDir() + "/churnlab_resave_b.clb";
+  ASSERT_TRUE(original.SaveBinary(first).ok());
+  const auto loaded = Dataset::LoadBinary(first);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_TRUE(loaded->SaveBinary(second).ok());
+  const auto bytes = [](const std::string& path) {
+    return BinaryReader::OpenFile(path).ValueOrDie().ReadBytes(
+        std::filesystem::file_size(path)).ValueOrDie();
+  };
+  EXPECT_EQ(bytes(first), bytes(second));
+  std::remove(first.c_str());
+  std::remove(second.c_str());
+}
+
+TEST(Dataset, LoadBinarySortsReceiptsStoredOutOfOrder) {
+  // A hand-written file (the layout SaveBinary writes) whose receipts are
+  // not in (customer, day) order; equal keys are told apart by spend.
+  BinaryWriter writer;
+  writer.WriteVarint(0x43484C4231ULL);  // "CHLB1"
+  writer.WriteVarint(1);                // version
+  writer.WriteVarint(2);                // items
+  writer.WriteString("a");
+  writer.WriteString("b");
+  writer.WriteVarint(0);  // departments
+  writer.WriteVarint(0);  // segments
+  writer.WriteVarint(0);  // item -> segment assignments
+  const struct {
+    CustomerId customer;
+    Day day;
+    double spend;
+  } receipts[] = {{5, 9, 1.0}, {2, 4, 2.0}, {5, 1, 3.0}, {2, 4, 4.0},
+                  {5, 9, 5.0}};
+  writer.WriteVarint(std::size(receipts));
+  for (const auto& receipt : receipts) {
+    writer.WriteVarint(receipt.customer);
+    writer.WriteSignedVarint(receipt.day);
+    writer.WriteDouble(receipt.spend);
+    writer.WriteVarint(2);  // items 0 and 1, delta-encoded
+    writer.WriteVarint(0);
+    writer.WriteVarint(1);
+  }
+  writer.WriteVarint(0);  // labels
+  const std::string path = testing::TempDir() + "/churnlab_unsorted.clb";
+  ASSERT_TRUE(writer.SaveToFile(path).ok());
+
+  const auto loaded = Dataset::LoadBinary(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  std::vector<std::tuple<CustomerId, Day, double>> order;
+  for (const Receipt& receipt : loaded->store().AllReceipts()) {
+    order.emplace_back(receipt.customer, receipt.day, receipt.spend);
+    EXPECT_EQ(receipt.items, (std::vector<ItemId>{0, 1}));
+  }
+  EXPECT_EQ(order, (std::vector<std::tuple<CustomerId, Day, double>>{
+                       {2, 4, 2.0}, {2, 4, 4.0}, {5, 1, 3.0}, {5, 9, 1.0},
+                       {5, 9, 5.0}}));
+  EXPECT_EQ(loaded->store().History(5).size(), 3u);
   std::remove(path.c_str());
 }
 

@@ -2,7 +2,9 @@
 // journal: an interior corruption in a sealed segment is DataLoss naming
 // that segment, a bad CRC in the newest segment truncates exactly at the
 // failing frame's start, and ScoringFleet::Recover reproduces an offline
-// one-thread replay byte for byte whatever the caller's thread count.
+// one-thread replay byte for byte whatever the caller's thread count. The
+// offline oracle ingests the journal one IngestBatch per frame, so Recover
+// must also quarantine, fail and ride out shard faults as that replay does.
 
 #include <algorithm>
 #include <cstdint>
@@ -14,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "common/binary_io.h"
+#include "common/failpoint.h"
 #include "serve/fleet.h"
 #include "serve/journal.h"
 
@@ -61,18 +64,33 @@ std::vector<Receipt> FrameReceipts(uint64_t first) {
   return receipts;
 }
 
-/// Writes kFrames frames into a journal that rotates every few frames.
-void WriteJournal(const std::string& dir) {
+/// The receipts of every frame, frame k holding sequences
+/// [k * kReceiptsPerFrame, (k + 1) * kReceiptsPerFrame).
+std::vector<std::vector<Receipt>> CleanFrames() {
+  std::vector<std::vector<Receipt>> frames;
+  for (size_t frame = 0; frame < kFrames; ++frame) {
+    frames.push_back(FrameReceipts(frame * kReceiptsPerFrame));
+  }
+  return frames;
+}
+
+/// Writes `frames` into a journal that rotates every few frames.
+void WriteFrames(const std::string& dir,
+                 const std::vector<std::vector<Receipt>>& frames) {
   JournalOptions options;
   options.directory = dir;
   options.fsync = FsyncPolicy::kNone;
   options.max_segment_bytes = kMaxSegmentBytes;
   auto journal = IngestJournal::Open(options).ValueOrDie();
-  for (size_t frame = 0; frame < kFrames; ++frame) {
-    const uint64_t first = frame * kReceiptsPerFrame;
-    ASSERT_TRUE(journal.Append(first, FrameReceipts(first)).ok());
+  uint64_t first = 0;
+  for (const std::vector<Receipt>& frame : frames) {
+    ASSERT_TRUE(journal.Append(first, frame).ok());
+    first += frame.size();
   }
 }
+
+/// Writes kFrames clean frames.
+void WriteJournal(const std::string& dir) { WriteFrames(dir, CleanFrames()); }
 
 /// Frames each segment file of `dir`, in segment order, with the on-disk
 /// layout of docs/API.md: an 8-byte magic, varint version and segment
@@ -246,6 +264,154 @@ TEST(JournalScanTest, RecoverMatchesAnOfflineOneThreadReplay) {
     EXPECT_EQ(SnapshotBytes(*recovered), expected) << threads << " threads";
     EXPECT_EQ(recovered->options().num_threads, threads);
     EXPECT_EQ(recovered->HealthReport().queue_depth, 0u);
+  }
+}
+
+// Frames holding the two kinds of item error: frame kInvalidFrame holds a
+// receipt with an invalid customer id, frame kRewoundFrame a receipt dated
+// back into a window its customer's stream has already closed.
+constexpr size_t kInvalidFrame = 7;
+constexpr size_t kRewoundFrame = 30;
+
+std::vector<std::vector<Receipt>> FramesWithBadReceipts(bool invalid,
+                                                        bool rewound) {
+  std::vector<std::vector<Receipt>> frames = CleanFrames();
+  if (invalid) frames[kInvalidFrame][2].customer = retail::kInvalidCustomer;
+  // Sequence 30 * 5 + 1 = 151: customer 1 + 151 % 11 = 9 at day 65, whose
+  // stream is two 30-day windows past day 0 by then.
+  if (rewound) frames[kRewoundFrame][1].day = 0;
+  return frames;
+}
+
+JournalRecovery ScanJournal(const std::string& dir) {
+  JournalOptions options;
+  options.directory = dir;
+  options.recover = true;
+  options.read_only = true;
+  JournalRecovery recovery;
+  EXPECT_TRUE(IngestJournal::Open(options, &recovery).ok());
+  return recovery;
+}
+
+/// What the pins compare of a fleet: its snapshot bytes, and per shard the
+/// receipts ingested, the items rejected and the alerts raised.
+struct FleetView {
+  std::string snapshot;
+  std::vector<std::vector<uint64_t>> shards;
+  bool operator==(const FleetView&) const = default;
+};
+
+FleetView ViewOf(const ScoringFleet& fleet) {
+  FleetView view{SnapshotBytes(fleet), {}};
+  for (const ShardHealthStats& shard : fleet.HealthReport().shards) {
+    view.shards.push_back({shard.receipts, shard.rejected, shard.alerts});
+  }
+  return view;
+}
+
+FleetOptions PinFleetOptions(size_t num_threads, bool quarantine) {
+  FleetOptions options = ReplayFleetOptions(num_threads);
+  options.quarantine_malformed = quarantine;
+  options.shard_retry.initial_backoff_ms = 0.0;
+  return options;
+}
+
+/// The offline oracle: one IngestBatch per journal frame, one thread.
+/// Returns the first failing frame's error, in Recover's context.
+Result<ScoringFleet> ReplayPerFrame(
+    const std::vector<std::vector<Receipt>>& frames, bool quarantine) {
+  auto fleet =
+      ScoringFleet::Make(PinFleetOptions(1, quarantine), nullptr).ValueOrDie();
+  uint64_t first = 0;
+  for (const std::vector<Receipt>& frame : frames) {
+    const Result<BatchReport> report = fleet.IngestBatch(frame);
+    if (!report.ok()) {
+      return report.status().WithContext(
+          "replaying journal frame at sequence " + std::to_string(first));
+    }
+    first += frame.size();
+  }
+  return fleet;
+}
+
+TEST(JournalScanTest, RecoverQuarantinesAsAPerFrameReplay) {
+  const std::string dir = FreshDir("journal_scan_quarantine");
+  const auto frames = FramesWithBadReceipts(true, true);
+  WriteFrames(dir, frames);
+  const JournalRecovery recovery = ScanJournal(dir);
+
+  Result<ScoringFleet> offline = ReplayPerFrame(frames, true);
+  ASSERT_TRUE(offline.ok()) << offline.status().ToString();
+  const FleetView expected = ViewOf(*offline);
+  uint64_t rejected = 0;
+  for (const std::vector<uint64_t>& shard : expected.shards) {
+    rejected += shard[1];
+  }
+  ASSERT_EQ(rejected, 2u);  // both bad receipts were quarantined
+
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    Result<ScoringFleet> recovered = ScoringFleet::Recover(
+        recovery, "", PinFleetOptions(threads, true), nullptr);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ(ViewOf(*recovered), expected) << threads << " threads";
+  }
+}
+
+TEST(JournalScanTest, RecoverWithoutQuarantineFailsAtTheBadReceiptsFrame) {
+  const struct {
+    bool invalid;
+    bool rewound;
+    size_t failing_frame;
+  } cases[] = {{true, true, kInvalidFrame},
+               {false, true, kRewoundFrame},
+               {true, false, kInvalidFrame}};
+  for (const auto& bad : cases) {
+    const std::string dir = FreshDir("journal_scan_no_quarantine");
+    const auto frames = FramesWithBadReceipts(bad.invalid, bad.rewound);
+    WriteFrames(dir, frames);
+    const JournalRecovery recovery = ScanJournal(dir);
+
+    const Result<ScoringFleet> offline = ReplayPerFrame(frames, false);
+    ASSERT_FALSE(offline.ok());
+    const std::string context =
+        "replaying journal frame at sequence " +
+        std::to_string(bad.failing_frame * kReceiptsPerFrame);
+    ASSERT_NE(offline.status().message().find(context), std::string::npos)
+        << offline.status().ToString();
+
+    for (const size_t threads : {size_t{1}, size_t{4}}) {
+      const Result<ScoringFleet> recovered = ScoringFleet::Recover(
+          recovery, "", PinFleetOptions(threads, false), nullptr);
+      ASSERT_FALSE(recovered.ok()) << threads << " threads";
+      EXPECT_EQ(recovered.status().code(), offline.status().code())
+          << recovered.status().ToString();
+      EXPECT_NE(recovered.status().message().find(context), std::string::npos)
+          << recovered.status().ToString() << " (" << threads << " threads)";
+    }
+  }
+}
+
+TEST(JournalScanTest, RecoverRidesOutAThrowingShardTask) {
+  const std::string dir = FreshDir("journal_scan_shard_throw");
+  const auto frames = FramesWithBadReceipts(true, true);
+  WriteFrames(dir, frames);
+  const JournalRecovery recovery = ScanJournal(dir);
+  Result<ScoringFleet> offline = ReplayPerFrame(frames, true);
+  ASSERT_TRUE(offline.ok()) << offline.status().ToString();
+  const std::string expected = SnapshotBytes(*offline);
+
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    FailpointRegistry::Global().DisarmAll();
+    ASSERT_TRUE(FailpointRegistry::Global()
+                    .ArmFromSpec("serve.shard.task=throw@nth(2)")
+                    .ok());
+    Result<ScoringFleet> recovered = ScoringFleet::Recover(
+        recovery, "", PinFleetOptions(threads, true), nullptr);
+    FailpointRegistry::Global().DisarmAll();
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ(SnapshotBytes(*recovered), expected) << threads << " threads";
+    EXPECT_TRUE(recovered->ShardHealth(0).ok());
+    EXPECT_EQ(recovered->HealthReport().poisoned_shards, 0u);
   }
 }
 

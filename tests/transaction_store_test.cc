@@ -123,6 +123,26 @@ TEST(TransactionStore, StableOrderForSameDayReceipts) {
   EXPECT_DOUBLE_EQ(history[1].spend, 2.0);
 }
 
+TEST(TransactionStore, UnsortedEqualKeysKeepAppendOrder) {
+  // Out of (customer, day) order, so Finalize must sort; receipts with equal
+  // keys keep their append order, told apart by spend.
+  TransactionStore store;
+  ASSERT_TRUE(store.Append(MakeReceipt(4, 9, {1}, 1.0)).ok());
+  ASSERT_TRUE(store.Append(MakeReceipt(2, 5, {1}, 2.0)).ok());
+  ASSERT_TRUE(store.Append(MakeReceipt(4, 3, {1}, 3.0)).ok());
+  ASSERT_TRUE(store.Append(MakeReceipt(2, 5, {2}, 4.0)).ok());
+  ASSERT_TRUE(store.Append(MakeReceipt(4, 9, {2}, 5.0)).ok());
+  ASSERT_TRUE(store.Append(MakeReceipt(2, 1, {1}, 6.0)).ok());
+  ASSERT_TRUE(store.Append(MakeReceipt(2, 5, {3}, 7.0)).ok());
+  store.Finalize();
+  std::vector<double> spends;
+  for (const Receipt& receipt : store.AllReceipts()) {
+    spends.push_back(receipt.spend);
+  }
+  EXPECT_EQ(spends,
+            (std::vector<double>{6.0, 2.0, 4.0, 7.0, 3.0, 1.0, 5.0}));
+}
+
 TEST(TransactionStore, AllReceiptsSpansEveryCustomer) {
   TransactionStore store;
   ASSERT_TRUE(store.Append(MakeReceipt(3, 1, {1})).ok());
