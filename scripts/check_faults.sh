@@ -20,7 +20,7 @@ fi
 JOBS=$(nproc 2>/dev/null || echo 2)
 
 FAULT_TARGETS=(failpoint_test serve_fault_test snapshot_fuzz_test
-               journal_test journal_fuzz_test
+               journal_test journal_fuzz_test journal_scan_test
                thread_pool_test serve_test serve_determinism_test)
 FAULT_FILTER='Failpoint|RetryPolicy|RetryWithBackoff|ServeFault|SnapshotFuzz|Journal|ThreadPool'
 # Output-neutral delay faults: they reshuffle thread timing without changing
@@ -31,7 +31,7 @@ SWEEP_SPECS=(
   'serve.shard.task=delay(1)@every(3)'
   'serve.ingest.receipt=delay(1)@every(97)'
 )
-SWEEP_FILTER='ServeDeterminism|ScoringFleet|FleetSnapshot'
+SWEEP_FILTER='ServeDeterminism|ScoringFleet|FleetSnapshot|JournalScan'
 
 for sanitizer in "${SANITIZERS[@]}"; do
   build_dir="build-${sanitizer}san"

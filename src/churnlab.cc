@@ -106,7 +106,8 @@ namespace {
 
 /// What one crash recovery yields: the journal, opened with `recover`; the
 /// fleet rebuilt from the checkpointed snapshot plus the journal frames;
-/// and the scan summary, whose frames are released once replayed.
+/// and the scan summary, whose frames and receipts are released once
+/// replayed.
 struct Recovery {
   serve::IngestJournal journal;
   serve::ScoringFleet fleet;
@@ -127,8 +128,8 @@ Result<Recovery> RecoverFromJournal(serve::JournalOptions journal_options,
       serve::ScoringFleet fleet,
       serve::ScoringFleet::Recover(summary, snapshot_path, fleet_options,
                                    &dataset.taxonomy(), num_threads));
-  summary.frames.clear();
-  summary.frames.shrink_to_fit();
+  summary.frames = {};
+  summary.receipts = {};
   return Recovery{std::move(journal), std::move(fleet), std::move(summary)};
 }
 

@@ -254,7 +254,7 @@ Result<FleetHandle> OpenSnapshot(const std::string& path,
 
 /// A fleet rebuilt from a journal by RecoverFleet, plus the recovery
 /// summary (watermark, replayed frame/receipt counts, next sequence; the
-/// replayed frames themselves are released after the rebuild).
+/// replayed frames and their receipts are released after the rebuild).
 struct RecoveredFleet {
   FleetHandle fleet;
   JournalRecovery recovery;
@@ -330,7 +330,7 @@ class ServerHandle {
   /// before the crash, and supplies the runtime options of a restored one.
   /// A non-zero `num_threads` overrides fleet_options.num_threads; `layout`
   /// is ignored (see serve::StateLayout). When `recovery_out` is non-null
-  /// it receives the recovery summary (frames released).
+  /// it receives the recovery summary (frames and receipts released).
   static Result<ServerHandle> Recover(
       Options options, FleetOptions fleet_options, const Dataset& dataset,
       size_t num_threads = 0,

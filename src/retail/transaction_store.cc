@@ -42,13 +42,15 @@ Status TransactionStore::Append(Receipt receipt) {
 
 void TransactionStore::Finalize() {
   if (finalized_) return;
-  std::stable_sort(receipts_.begin(), receipts_.end(),
-                   [](const Receipt& a, const Receipt& b) {
-                     if (a.customer != b.customer) {
-                       return a.customer < b.customer;
-                     }
-                     return a.day < b.day;
-                   });
+  const auto by_customer_day = [](const Receipt& a, const Receipt& b) {
+    if (a.customer != b.customer) return a.customer < b.customer;
+    return a.day < b.day;
+  };
+  // A dataset saved by Dataset::SaveBinary loads already in this order;
+  // the check is one pass, the sort several.
+  if (!std::is_sorted(receipts_.begin(), receipts_.end(), by_customer_day)) {
+    std::stable_sort(receipts_.begin(), receipts_.end(), by_customer_day);
+  }
   customer_index_.clear();
   customers_sorted_.clear();
   size_t begin = 0;

@@ -111,6 +111,26 @@ bool Reject(bool quarantine, RejectedReceipt rejected, ShardOutput* out) {
   return true;
 }
 
+/// `status` in the context of replaying `frames[frame]`; unchanged outside
+/// a journal replay (no frames).
+Status InFrame(Status status, std::span<const JournalFrame> frames,
+               size_t frame) {
+  if (frames.empty()) return status;
+  return status.WithContext("replaying journal frame at sequence " +
+                            std::to_string(frames[frame].first_sequence));
+}
+
+/// The frame of `frames` holding receipt `index` of their concatenation (0
+/// outside a journal replay).
+size_t FrameOf(std::span<const JournalFrame> frames, size_t index) {
+  size_t frame = 0;
+  for (size_t end = 0; frame + 1 < frames.size(); ++frame) {
+    end += frames[frame].count;
+    if (index < end) break;
+  }
+  return frame;
+}
+
 /// The shard step of a whole-fleet sweep: `op` on every customer of the
 /// shard, in slot order. A customer whose stream rejects the sweep is
 /// rejected with batch_index 0 under the sweep's `day`.
@@ -248,7 +268,8 @@ void ScoringFleet::MapSymbols(const retail::Receipt& receipt,
 template <typename Step>
 Result<BatchReport> ScoringFleet::RunShards(
     std::span<const retail::Receipt> receipts,
-    const std::vector<std::vector<size_t>>* by_shard, Step&& step) {
+    const std::vector<std::vector<size_t>>* by_shard, Step&& step,
+    std::span<const JournalFrame> frames) {
   const ServeMetrics& metrics = Metrics();
   const size_t num_shards = store_.num_shards();
   std::vector<ShardOutput> outputs(num_shards);
@@ -304,6 +325,31 @@ Result<BatchReport> ScoringFleet::RunShards(
   }
   if (num_threads > 1) pool_->WaitIdle();
 
+  if (!options_.quarantine_malformed) {
+    // Retries ran out, or an item failed: fail the call with the failure a
+    // frame-by-frame replay meets first — the earliest frame's, lowest
+    // shard first — so the reported error is deterministic.
+    size_t failed = num_shards;
+    size_t failed_frame = ~size_t{0};
+    for (size_t shard = 0; shard < num_shards; ++shard) {
+      const ShardOutput& out = outputs[shard];
+      if (!shard_health_[shard].ok() || out.status.ok()) continue;
+      size_t frame = 0;
+      if (by_shard != nullptr) {
+        const std::vector<size_t>& indices = (*by_shard)[shard];
+        frame = FrameOf(frames,
+                        indices[std::min(out.progress, indices.size() - 1)]);
+      }
+      if (frame < failed_frame) {
+        failed = shard;
+        failed_frame = frame;
+      }
+    }
+    if (failed < num_shards) {
+      return InFrame(std::move(outputs[failed].status), frames, failed_frame);
+    }
+  }
+
   BatchReport report;
   for (size_t shard = 0; shard < num_shards; ++shard) {
     ShardOutput& out = outputs[shard];
@@ -311,11 +357,8 @@ Result<BatchReport> ScoringFleet::RunShards(
     const size_t routed = by_shard != nullptr ? (*by_shard)[shard].size() : 0;
     if (by_shard != nullptr) stats.last_batch_receipts = routed;
     if (shard_health_[shard].ok() && !out.status.ok()) {
-      // Retries ran out, or an item failed with quarantine off. With
-      // quarantine on, poison only this shard; otherwise fail the call
-      // (first failing shard by index, so the reported error is
-      // deterministic).
-      if (!options_.quarantine_malformed) return out.status;
+      // Retries ran out (quarantine is on, or the call failed above):
+      // poison only this shard.
       shard_health_[shard] = out.status;
       metrics.poisoned_shards->Increment();
     }
@@ -353,14 +396,34 @@ Result<BatchReport> ScoringFleet::RunShards(
 
 Result<BatchReport> ScoringFleet::IngestBatch(
     std::span<const retail::Receipt> receipts) {
+  return Ingest(receipts, {});
+}
+
+Result<BatchReport> ScoringFleet::Ingest(
+    std::span<const retail::Receipt> receipts,
+    std::span<const JournalFrame> frames) {
   CHURNLAB_SPAN("serve.ingest_batch");
-  CHURNLAB_FAILPOINT("serve.ingest.batch");
+  static Failpoint* const batch_failpoint =
+      FailpointRegistry::Global().Get("serve.ingest.batch");
+  if (batch_failpoint->armed()) {
+    Status injected = batch_failpoint->Evaluate();
+    if (!injected.ok()) return InFrame(std::move(injected), frames, 0);
+  }
   const ServeMetrics& metrics = Metrics();
   obs::ScopedLatency latency(metrics.ingest_batch_us);
 
   // Partition by shard, preserving batch order within each shard so every
-  // customer's receipts stay chronological.
-  std::vector<std::vector<size_t>> by_shard(store_.num_shards());
+  // customer's receipts stay chronological. Sized exactly, so the
+  // partition holds one index per receipt.
+  const size_t num_shards = store_.num_shards();
+  std::vector<size_t> routed(num_shards, 0);
+  for (const retail::Receipt& receipt : receipts) {
+    ++routed[store_.ShardOf(receipt.customer)];
+  }
+  std::vector<std::vector<size_t>> by_shard(num_shards);
+  for (size_t shard = 0; shard < num_shards; ++shard) {
+    by_shard[shard].reserve(routed[shard]);
+  }
   for (size_t i = 0; i < receipts.size(); ++i) {
     by_shard[store_.ShardOf(receipts[i].customer)].push_back(i);
   }
@@ -410,7 +473,7 @@ Result<BatchReport> ScoringFleet::IngestBatch(
     return Status::OK();
   };
   CHURNLAB_ASSIGN_OR_RETURN(BatchReport report,
-                            RunShards(receipts, &by_shard, ingest));
+                            RunShards(receipts, &by_shard, ingest, frames));
 
   metrics.batches_ingested->Increment();
   metrics.receipts_ingested->Increment(report.receipts_ingested);
@@ -859,33 +922,29 @@ Result<ScoringFleet> ScoringFleet::Recover(
   }
   ScoringFleet fleet = std::move(base).ValueOrDie();
 
-  // Replay the journaled batches exactly as the coalescer applied them.
-  // Sequence order fully determines fleet state, so the recovered fleet's
-  // snapshot is byte-identical to the crashed server's would have been.
-  // Nothing else runs while a server recovers, and output is identical for
-  // any thread count, so the replay fans out on a pool of its own with a
-  // worker per core; the fleet then serves with the caller's count.
+  // Replay every journaled receipt in one fan-out. A customer's state
+  // depends only on its own receipts in sequence order, which the shard
+  // partition keeps, so the recovered fleet's snapshot is byte-identical to
+  // the crashed server's, whose coalescer applied the same receipts one
+  // frame at a time. Nothing else runs while a server recovers, and output
+  // is identical for any thread count, so the replay fans out on a pool of
+  // its own with a worker per core; the fleet then serves with the
+  // caller's count.
   const Stopwatch replay_clock;
   const size_t serving_threads = fleet.options_.num_threads;
   const size_t replay_threads = std::max<size_t>(
       {serving_threads, std::thread::hardware_concurrency(), 1});
   fleet.options_.num_threads = replay_threads;
-  uint64_t replayed_receipts = 0;
-  for (const JournalFrame& frame : recovery.frames) {
-    Result<BatchReport> report = fleet.IngestBatch(frame.receipts);
-    if (!report.ok()) {
-      return report.status().WithContext(
-          "replaying journal frame at sequence " +
-          std::to_string(frame.first_sequence));
-    }
-    replayed_receipts += frame.receipts.size();
+  if (!recovery.frames.empty()) {
+    CHURNLAB_RETURN_NOT_OK(
+        fleet.Ingest(recovery.receipts, recovery.frames).status());
   }
   fleet.options_.num_threads = serving_threads;
   fleet.pool_.reset();
   obs::LogEvent(LogLevel::kInfo, "journal_replay_complete", __FILE__,
                 __LINE__)
       .Uint("frames", recovery.frames.size())
-      .Uint("receipts", replayed_receipts)
+      .Uint("receipts", recovery.receipts.size())
       .Uint("watermark", recovery.watermark)
       .Uint("next_sequence", recovery.next_sequence)
       .Uint("customers", fleet.NumCustomers())

@@ -292,10 +292,16 @@ class ScoringFleet {
   /// absent), restored with `fresh_options`' runtime options (see Restore),
   /// or a fresh fleet built from `fresh_options` when the journal was never
   /// checkpointed against a snapshot. A non-zero `num_threads` overrides
-  /// fresh_options.num_threads; `layout` is ignored. Journal frames are then
-  /// replayed through IngestBatch in sequence order, reproducing the
-  /// pre-crash state byte-for-byte (arrival sequence fully determines
-  /// fleet state; coalesced batch boundaries do not).
+  /// fresh_options.num_threads; `layout` is ignored. Every journaled
+  /// receipt is then replayed in one shard fan-out, each shard applying its
+  /// receipts in sequence order straight from `recovery.receipts` (no
+  /// copy). That reproduces the pre-crash state byte-for-byte: a customer's
+  /// state depends only on its own receipts in arrival order, so coalesced
+  /// batch boundaries do not matter. Quarantine, poisoning and the error of
+  /// a failed replay (in the context "replaying journal frame at sequence
+  /// N") are those of replaying the frames one IngestBatch each. The replay
+  /// counts as one batch in the serve metrics and in
+  /// ShardHealthStats::last_batch_receipts.
   ///
   /// The replay runs on every core: a replay-only pool of
   /// max(num_threads, hardware threads) workers, dropped when the replay
@@ -315,15 +321,24 @@ class ScoringFleet {
   void MapSymbols(const retail::Receipt& receipt,
                   std::vector<core::Symbol>* scratch) const;
 
-  /// The one shard fan-out of IngestBatch (`by_shard`: each shard's batch
+  /// IngestBatch over `receipts`, the concatenation of the journal
+  /// `frames` (empty outside Recover) in one fan-out; with frames, errors
+  /// name the frame they happened in.
+  Result<BatchReport> Ingest(std::span<const retail::Receipt> receipts,
+                             std::span<const JournalFrame> frames);
+
+  /// The one shard fan-out of Ingest (`by_shard`: each shard's batch
   /// indices; runs the shards with receipts) and the sweeps (`by_shard`
   /// null; runs every shard). Runs `step(shard, accessor, output)` on each
   /// healthy shard under its lock, behind the serve.shard.task failpoint
-  /// and the shard_retry loop, then merges one sorted report.
+  /// and the shard_retry loop, then merges one sorted report. With
+  /// quarantine off a failure fails the call: the one in the earliest of
+  /// `frames` (see Ingest), lowest shard first.
   template <typename Step>
   Result<BatchReport> RunShards(
       std::span<const retail::Receipt> receipts,
-      const std::vector<std::vector<size_t>>* by_shard, Step&& step);
+      const std::vector<std::vector<size_t>>* by_shard, Step&& step,
+      std::span<const JournalFrame> frames = {});
 
   /// Per-shard cumulative stats behind HealthReport. Written only in the
   /// single-threaded merge phase of an operation (like shard_health_).

@@ -119,32 +119,66 @@ void WriteFramePayload(uint64_t first_sequence,
   }
 }
 
-Status ParseFramePayload(std::string_view payload, JournalFrame* frame) {
+/// Fewest payload bytes one receipt takes: one-byte customer, day and item
+/// count varints plus the 8-byte spend.
+constexpr size_t kMinReceiptBytes = 11;
+
+/// One frame as the decode pass sees it: its header, read before its CRC
+/// is checked, and the outcome of checking and decoding it.
+struct FrameHeader {
+  Status status;  ///< the first CRC, header or receipt error
+  JournalFrame frame;
+  /// Receipt slots reserved in JournalRecovery::receipts: the claimed count,
+  /// capped at what the payload's bytes can hold (a frame claiming more
+  /// fails to decode before it fills them).
+  size_t slots = 0;
+  size_t body_offset = 0;  ///< payload bytes taken by the header
+};
+
+/// Reads a frame's header: the batch's first sequence number and receipt
+/// count.
+FrameHeader ReadFrameHeader(std::string_view payload) {
+  FrameHeader header;
   BinaryReader reader = BinaryReader::Over(payload);
-  CHURNLAB_ASSIGN_OR_RETURN(frame->first_sequence, reader.ReadVarint());
-  CHURNLAB_ASSIGN_OR_RETURN(const uint64_t count, reader.ReadVarint());
-  if (count > kMaxFrameReceipts) {
-    return Status::IOError("journal frame receipt count is implausible");
+  header.status = [&]() -> Status {
+    CHURNLAB_ASSIGN_OR_RETURN(header.frame.first_sequence, reader.ReadVarint());
+    CHURNLAB_ASSIGN_OR_RETURN(const uint64_t count, reader.ReadVarint());
+    if (count > kMaxFrameReceipts) {
+      return Status::IOError("journal frame receipt count is implausible");
+    }
+    header.frame.count = count;
+    return Status::OK();
+  }();
+  header.body_offset = payload.size() - reader.remaining();
+  if (header.status.ok()) {
+    header.slots = std::min<size_t>(header.frame.count,
+                                    reader.remaining() / kMinReceiptBytes);
   }
-  frame->receipts.clear();
-  frame->receipts.reserve(count);
+  return header;
+}
+
+/// Decodes the frame's `count` receipts from `body` (the payload after its
+/// header) into `out`, which holds the frame's slots.
+Status ParseFrameReceipts(std::string_view body, uint64_t count,
+                          std::span<retail::Receipt> out) {
+  BinaryReader reader = BinaryReader::Over(body);
   for (uint64_t i = 0; i < count; ++i) {
-    retail::Receipt receipt;
     CHURNLAB_ASSIGN_OR_RETURN(const uint64_t customer, reader.ReadVarint());
-    receipt.customer = static_cast<retail::CustomerId>(customer);
     CHURNLAB_ASSIGN_OR_RETURN(const int64_t day, reader.ReadSignedVarint());
-    receipt.day = static_cast<retail::Day>(day);
-    CHURNLAB_ASSIGN_OR_RETURN(receipt.spend, reader.ReadDouble());
+    CHURNLAB_ASSIGN_OR_RETURN(const double spend, reader.ReadDouble());
     CHURNLAB_ASSIGN_OR_RETURN(const uint64_t items, reader.ReadVarint());
     if (items > kMaxReceiptItems) {
       return Status::IOError("journal receipt item count is implausible");
     }
+    retail::Receipt& receipt = out[i];  // in bounds: see FrameHeader::slots
+    receipt.customer = static_cast<retail::CustomerId>(customer);
+    receipt.day = static_cast<retail::Day>(day);
+    receipt.spend = spend;
     receipt.items.reserve(items);
     for (uint64_t j = 0; j < items; ++j) {
       CHURNLAB_ASSIGN_OR_RETURN(const uint64_t item, reader.ReadVarint());
       receipt.items.push_back(static_cast<retail::ItemId>(item));
     }
-    frame->receipts.push_back(std::move(receipt));
   }
   if (!reader.AtEnd()) {
     return Status::IOError("journal frame payload has trailing bytes");
@@ -717,21 +751,33 @@ Result<IngestJournal> IngestJournal::Open(JournalOptions options,
   for (const FramedSegment& segment : framed) {
     for (const RawFrame& frame : segment.frames) raw.push_back(&frame);
   }
-  std::vector<JournalFrame> decoded(raw.size());
-  std::vector<Status> decode_status(raw.size());
+  // (2) Read each frame's header in order, giving every frame its own
+  // slots in one receipt vector, then CRC-check every frame and decode its
+  // receipts into its slots in parallel.
+  std::vector<FrameHeader> headers;
+  headers.reserve(raw.size());
+  std::vector<size_t> slot_begin(raw.size() + 1, 0);
+  for (size_t i = 0; i < raw.size(); ++i) {
+    headers.push_back(ReadFrameHeader(raw[i]->payload));
+    slot_begin[i + 1] = slot_begin[i] + headers[i].slots;
+  }
+  out->receipts.resize(slot_begin.back());
   const size_t scan_threads =
       std::max<size_t>(1, std::thread::hardware_concurrency());
   ParallelFor(0, raw.size(), scan_threads, [&](size_t i) {
     const RawFrame& frame = *raw[i];
+    FrameHeader& header = headers[i];
     if (Crc32(frame.payload.data(), frame.payload.size()) != frame.crc) {
-      decode_status[i] = Status::IOError("journal frame failed its CRC check");
-    } else {
-      decode_status[i] = ParseFramePayload(frame.payload, &decoded[i]);
+      header.status = Status::IOError("journal frame failed its CRC check");
+    } else if (header.status.ok()) {
+      header.status = ParseFrameReceipts(
+          frame.payload.substr(header.body_offset), header.frame.count,
+          std::span(out->receipts).subspan(slot_begin[i], header.slots));
     }
   });
 
   uint64_t running_next = 0;
-  size_t accepted = 0;  // decoded[0, accepted) are the intact frames
+  size_t accepted = 0;  // headers[0, accepted) are the intact frames
   uint64_t last_good_end = 0;  // byte offset after the last intact frame
   for (size_t i = 0; i < framed.size(); ++i) {
     const SegmentFile& segment = segments[i];
@@ -740,11 +786,11 @@ Result<IngestJournal> IngestJournal::Open(JournalOptions options,
     uint64_t good_end = frames.header_end;
     Status torn = Status::OK();
     for (const RawFrame& raw_frame : frames.frames) {
-      if (!decode_status[accepted].ok()) {
-        torn = std::move(decode_status[accepted]);
+      if (!headers[accepted].status.ok()) {
+        torn = std::move(headers[accepted].status);
         break;
       }
-      const JournalFrame& frame = decoded[accepted];
+      const JournalFrame& frame = headers[accepted].frame;
       if (accepted > 0 && frame.first_sequence != running_next) {
         return Status::DataLoss(
             "journal sequence gap in '" + segment.path + "': frame starts at " +
@@ -795,8 +841,13 @@ Result<IngestJournal> IngestJournal::Open(JournalOptions options,
   }
   if (!framing_error.ok()) return framing_error;
   framed.clear();
-  decoded.resize(accepted);
-  out->frames = std::move(decoded);
+  // An intact frame filled all its slots, so the intact frames' receipts
+  // are exactly the first slot_begin[accepted].
+  out->receipts.resize(slot_begin[accepted]);
+  out->frames.reserve(accepted);
+  for (size_t i = 0; i < accepted; ++i) {
+    out->frames.push_back(headers[i].frame);
+  }
 
   // A journal that was never checkpointed must start at sequence 0 — a
   // nonzero start would mean earlier acknowledged receipts are nowhere.
@@ -811,21 +862,23 @@ Result<IngestJournal> IngestJournal::Open(JournalOptions options,
   // Trim frames fully below the watermark (left behind when a crash landed
   // between the checkpoint record and segment truncation); replaying them
   // would double-apply receipts the snapshot already holds.
-  {
-    std::vector<JournalFrame> kept;
-    for (JournalFrame& frame : out->frames) {
-      if (frame.end_sequence() <= out->watermark) continue;
-      if (frame.first_sequence < out->watermark) {
-        return Status::DataLoss(
-            "journal checkpoint watermark " +
-            std::to_string(out->watermark) +
-            " splits a frame starting at sequence " +
-            std::to_string(frame.first_sequence));
-      }
-      kept.push_back(std::move(frame));
-    }
-    out->frames = std::move(kept);
+  size_t below = 0;  // frames[0, below) end at or below the watermark
+  size_t below_receipts = 0;
+  for (const JournalFrame& frame : out->frames) {
+    if (frame.end_sequence() > out->watermark) break;
+    below_receipts += frame.count;
+    ++below;
   }
+  if (below < out->frames.size() &&
+      out->frames[below].first_sequence < out->watermark) {
+    return Status::DataLoss(
+        "journal checkpoint watermark " + std::to_string(out->watermark) +
+        " splits a frame starting at sequence " +
+        std::to_string(out->frames[below].first_sequence));
+  }
+  out->frames.erase(out->frames.begin(), out->frames.begin() + below);
+  out->receipts.erase(out->receipts.begin(),
+                      out->receipts.begin() + below_receipts);
   if (!out->frames.empty() &&
       out->frames.front().first_sequence != out->watermark) {
     return Status::DataLoss(
@@ -857,10 +910,7 @@ Result<IngestJournal> IngestJournal::Open(JournalOptions options,
     }
   }
 
-  uint64_t recovered_receipts = 0;
-  for (const JournalFrame& frame : out->frames) {
-    recovered_receipts += frame.receipts.size();
-  }
+  const uint64_t recovered_receipts = out->receipts.size();
   out->scan_ms = scan_clock.ElapsedMillis();
   if (out->frames_scanned > 0 || out->watermark > 0) {
     Metrics().recovered_frames->Increment(out->frames.size());

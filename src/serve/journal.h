@@ -97,18 +97,19 @@ struct SnapshotRef {
   uint32_t crc = 0;
 };
 
-/// One replayable journal record: a coalesced batch and the first of its
-/// contiguous receipt sequence numbers.
+/// One replayable journal record: a coalesced batch's first receipt
+/// sequence number and receipt count. Its receipts sit in
+/// JournalRecovery::receipts (see JournalRecovery::FrameReceipts).
 struct JournalFrame {
   uint64_t first_sequence = 0;
-  std::vector<retail::Receipt> receipts;
+  size_t count = 0;
   /// One past the last sequence number covered by this frame.
-  uint64_t end_sequence() const { return first_sequence + receipts.size(); }
+  uint64_t end_sequence() const { return first_sequence + count; }
 };
 
 /// What IngestJournal::Open found on disk (all zero/empty for a fresh
-/// journal). `frames` holds every intact frame above the watermark, in
-/// sequence order, ready for ScoringFleet::Recover.
+/// journal). `frames` and `receipts` hold every intact frame above the
+/// watermark, in sequence order, ready for ScoringFleet::Recover.
 struct JournalRecovery {
   /// Next-sequence watermark of the last checkpoint: every receipt with
   /// sequence < watermark is captured by the checkpointed snapshot.
@@ -118,6 +119,16 @@ struct JournalRecovery {
   SnapshotRef snapshot;
   /// Intact frames above the watermark, contiguous in sequence.
   std::vector<JournalFrame> frames;
+  /// The frames' receipts in one vector, in sequence order: receipts[i]
+  /// has sequence frames.front().first_sequence + i. Decoded in place by
+  /// the scan, so replay reads them without a copy.
+  std::vector<retail::Receipt> receipts;
+  /// The receipts of frames[k].
+  std::span<const retail::Receipt> FrameReceipts(size_t k) const {
+    return std::span<const retail::Receipt>(receipts).subspan(
+        frames[k].first_sequence - frames.front().first_sequence,
+        frames[k].count);
+  }
   /// One past the highest recovered sequence (== watermark when no frames
   /// survive it). Appending resumes here.
   uint64_t next_sequence = 0;

@@ -161,13 +161,15 @@ void CheckRecoveryContract(const std::string& dir) {
   // tears it; a fuzz flip that keeps the CRC valid is astronomically
   // unlikely). Frames must resume exactly at whatever watermark was read.
   uint64_t expected = recovery.watermark;
-  for (const JournalFrame& frame : recovery.frames) {
+  for (size_t k = 0; k < recovery.frames.size(); ++k) {
+    const JournalFrame& frame = recovery.frames[k];
     ASSERT_EQ(frame.first_sequence, expected)
         << "recovery skipped interior sequences";
     ASSERT_LE(frame.end_sequence(), kTotalReceipts)
         << "recovery invented receipts past the pristine stream";
-    for (size_t i = 0; i < frame.receipts.size(); ++i) {
-      const Receipt& got = frame.receipts[i];
+    const std::span<const Receipt> receipts = recovery.FrameReceipts(k);
+    for (size_t i = 0; i < receipts.size(); ++i) {
+      const Receipt& got = receipts[i];
       const Receipt& want = pristine[frame.first_sequence + i];
       ASSERT_EQ(got.customer, want.customer);
       ASSERT_EQ(got.day, want.day);
@@ -176,6 +178,7 @@ void CheckRecoveryContract(const std::string& dir) {
     }
     expected = frame.end_sequence();
   }
+  EXPECT_EQ(recovery.receipts.size(), expected - recovery.watermark);
   EXPECT_EQ(recovery.next_sequence, expected == recovery.watermark
                                         ? recovery.next_sequence
                                         : expected);

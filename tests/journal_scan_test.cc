@@ -252,8 +252,8 @@ TEST(JournalScanTest, RecoverMatchesAnOfflineOneThreadReplay) {
 
   auto offline = ScoringFleet::Make(ReplayFleetOptions(1), nullptr)
                      .ValueOrDie();
-  for (const JournalFrame& frame : recovery.frames) {
-    ASSERT_TRUE(offline.IngestBatch(frame.receipts).ok());
+  for (size_t k = 0; k < recovery.frames.size(); ++k) {
+    ASSERT_TRUE(offline.IngestBatch(recovery.FrameReceipts(k)).ok());
   }
   const std::string expected = SnapshotBytes(offline);
 

@@ -69,17 +69,21 @@ TEST(JournalTest, FreshOpenAppendScanRoundTrips) {
   EXPECT_EQ(recovery.snapshot.kind, SnapshotRef::Kind::kNone);
   ASSERT_EQ(recovery.frames.size(), 2u);
   EXPECT_EQ(recovery.frames[0].first_sequence, 0u);
-  EXPECT_EQ(recovery.frames[0].receipts.size(), 3u);
+  EXPECT_EQ(recovery.frames[0].count, 3u);
   EXPECT_EQ(recovery.frames[1].first_sequence, 3u);
+  EXPECT_EQ(recovery.frames[1].count, 2u);
+  ASSERT_EQ(recovery.receipts.size(), 5u);
+  EXPECT_EQ(recovery.FrameReceipts(1).data(), recovery.receipts.data() + 3);
   EXPECT_EQ(recovery.next_sequence, 5u);
   EXPECT_EQ(recovery.discarded_tail_frames, 0u);
   // Receipt payloads round-trip exactly.
   const std::vector<Receipt> expected = MakeReceipts(0, 3);
+  const std::span<const Receipt> first = recovery.FrameReceipts(0);
   for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(recovery.frames[0].receipts[i].customer, expected[i].customer);
-    EXPECT_EQ(recovery.frames[0].receipts[i].day, expected[i].day);
-    EXPECT_EQ(recovery.frames[0].receipts[i].spend, expected[i].spend);
-    EXPECT_EQ(recovery.frames[0].receipts[i].items, expected[i].items);
+    EXPECT_EQ(first[i].customer, expected[i].customer);
+    EXPECT_EQ(first[i].day, expected[i].day);
+    EXPECT_EQ(first[i].spend, expected[i].spend);
+    EXPECT_EQ(first[i].items, expected[i].items);
   }
   // Appending resumes at the recovered sequence.
   ASSERT_TRUE(journal.Append(5, MakeReceipts(5, 1)).ok());
@@ -152,6 +156,12 @@ TEST(JournalTest, SegmentsRotateAndCheckpointTruncates) {
   // Frames resume exactly at the watermark and reach the end.
   EXPECT_EQ(recovery.frames.front().first_sequence, 50u);
   EXPECT_EQ(recovery.next_sequence, sequence);
+  // The trimmed frames' receipts go too: receipts start at sequence 50.
+  ASSERT_EQ(recovery.receipts.size(), sequence - 50);
+  const Receipt expected = MakeReceipts(50, 1).front();
+  EXPECT_EQ(recovery.receipts.front().customer, expected.customer);
+  EXPECT_EQ(recovery.receipts.front().day, expected.day);
+  EXPECT_EQ(recovery.receipts.front().spend, expected.spend);
 }
 
 TEST(JournalTest, CheckpointAtHeadDropsEverySegment) {
