@@ -221,6 +221,42 @@ TEST(JournalScanTest, BadCrcInTheNewestSegmentTruncatesAtThatFrame) {
   EXPECT_EQ(rescan.next_sequence, bad.first_sequence + kReceiptsPerFrame);
 }
 
+TEST(JournalScanTest, FrameClaimingMoreReceiptsThanItsBytesHoldIsATornTail) {
+  // A CRC-valid frame whose header claims 1,000 receipts but whose payload
+  // holds one: the scan sizes its slots from the bytes, not the claim, and
+  // the frame fails to decode like any torn tail.
+  const std::string dir = FreshDir("journal_scan_lying_count");
+  std::vector<std::vector<Receipt>> frames = CleanFrames();
+  frames.resize(3);
+  WriteFrames(dir, frames);
+  BinaryWriter payload;
+  payload.WriteVarint(3 * kReceiptsPerFrame);  // first sequence
+  payload.WriteVarint(1000);                   // claimed receipt count
+  payload.WriteVarint(1);                      // the one receipt
+  payload.WriteSignedVarint(60);
+  payload.WriteDouble(1.5);
+  payload.WriteVarint(1);
+  payload.WriteVarint(10);
+  BinaryWriter frame;
+  frame.WriteVarint(payload.buffer().size());
+  frame.WriteVarint(Crc32(payload.buffer().data(), payload.buffer().size()));
+  frame.WriteBytes(payload.buffer().data(), payload.buffer().size());
+  const std::vector<SegmentFrames> segments = FrameSegments(dir);
+  ASSERT_TRUE(frame.AppendToFile(segments.back().path).ok());
+
+  JournalOptions options;
+  options.directory = dir;
+  options.recover = true;
+  options.read_only = true;
+  JournalRecovery recovery;
+  const Result<IngestJournal> opened = IngestJournal::Open(options, &recovery);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(recovery.discarded_tail_frames, 1u);
+  EXPECT_EQ(recovery.next_sequence, 3 * kReceiptsPerFrame);
+  EXPECT_EQ(recovery.frames.size(), 3u);
+  EXPECT_EQ(recovery.receipts.size(), 3 * kReceiptsPerFrame);
+}
+
 FleetOptions ReplayFleetOptions(size_t num_threads) {
   FleetOptions options;
   options.scorer.window_span_days = 30;
