@@ -23,23 +23,14 @@ double RetryPolicy::BackoffMs(int retry) const {
 
 Status RetryWithBackoff(
     const RetryPolicy& policy, const std::function<Status()>& fn,
-    const std::function<void(int retry, const Status&)>& on_retry) {
-  Status last;
-  // 64-bit attempt budget: max_retries == INT_MAX must not wrap `1 + n`
-  // into a non-positive count that would skip fn entirely and return a
-  // default-constructed OK status.
-  const int64_t attempts =
-      1 + static_cast<int64_t>(std::max(policy.max_retries, 0));
-  for (int64_t attempt = 0; attempt < attempts; ++attempt) {
-    if (attempt > 0) {
-      const int retry = static_cast<int>(attempt);  // <= INT_MAX by bound
-      if (on_retry) on_retry(retry, last);
-      const double backoff_ms = policy.BackoffMs(retry);
-      if (backoff_ms > 0.0) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double, std::milli>(backoff_ms));
-      }
-    }
+    const std::function<void(int retry, const Status&)>& on_retry,
+    const std::function<bool()>& progressed) {
+  // 64-bit retry count: max_retries == INT_MAX must not wrap into a budget
+  // that skips fn entirely or returns a default-constructed OK status.
+  const int64_t max_retries = std::max(policy.max_retries, 0);
+  int64_t retries = 0;  // since the last attempt that made progress
+  for (;;) {
+    Status last;
     try {
       last = fn();
     } catch (const std::exception& e) {
@@ -49,8 +40,16 @@ Status RetryWithBackoff(
       last = Status::Internal("retried operation threw a non-std exception");
     }
     if (last.ok()) return last;
+    if (progressed && progressed()) retries = 0;
+    if (retries == max_retries) return last;
+    const int retry = static_cast<int>(++retries);  // <= INT_MAX by bound
+    if (on_retry) on_retry(retry, last);
+    const double backoff_ms = policy.BackoffMs(retry);
+    if (backoff_ms > 0.0) {
+      std::this_thread::sleep_for(
+          std::chrono::duration<double, std::milli>(backoff_ms));
+    }
   }
-  return last;
 }
 
 }  // namespace churnlab

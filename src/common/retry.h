@@ -33,9 +33,16 @@ struct RetryPolicy {
 /// as failed attempts (they do not propagate). `on_retry`, when set, is
 /// invoked before each backoff sleep with the 1-based retry number and the
 /// status that caused it — the serve layer uses it to bump retry metrics.
+///
+/// `progressed`, when set, is asked after each failed attempt whether that
+/// attempt got further than the one before it. If it did, the retry number
+/// (and so the backoff) starts again from 1: the budget bounds the retries
+/// of one stuck step, not of the whole operation, so a long operation that
+/// keeps advancing rides out sparse transient faults.
 Status RetryWithBackoff(
     const RetryPolicy& policy, const std::function<Status()>& fn,
-    const std::function<void(int retry, const Status&)>& on_retry = nullptr);
+    const std::function<void(int retry, const Status&)>& on_retry = nullptr,
+    const std::function<bool()>& progressed = nullptr);
 
 }  // namespace churnlab
 

@@ -1,6 +1,7 @@
 #include "serve/fleet.h"
 
 #include <algorithm>
+#include <iterator>
 #include <optional>
 #include <thread>
 #include <tuple>
@@ -109,26 +110,6 @@ bool Reject(bool quarantine, RejectedReceipt rejected, ShardOutput* out) {
   }
   out->rejected.push_back(std::move(rejected));
   return true;
-}
-
-/// `status` in the context of replaying `frames[frame]`; unchanged outside
-/// a journal replay (no frames).
-Status InFrame(Status status, std::span<const JournalFrame> frames,
-               size_t frame) {
-  if (frames.empty()) return status;
-  return status.WithContext("replaying journal frame at sequence " +
-                            std::to_string(frames[frame].first_sequence));
-}
-
-/// The frame of `frames` holding receipt `index` of their concatenation (0
-/// outside a journal replay).
-size_t FrameOf(std::span<const JournalFrame> frames, size_t index) {
-  size_t frame = 0;
-  for (size_t end = 0; frame + 1 < frames.size(); ++frame) {
-    end += frames[frame].count;
-    if (index < end) break;
-  }
-  return frame;
 }
 
 /// The shard step of a whole-fleet sweep: `op` on every customer of the
@@ -269,7 +250,7 @@ template <typename Step>
 Result<BatchReport> ScoringFleet::RunShards(
     std::span<const retail::Receipt> receipts,
     const std::vector<std::vector<size_t>>* by_shard, Step&& step,
-    std::span<const JournalFrame> frames) {
+    size_t* failed_index) {
   const ServeMetrics& metrics = Metrics();
   const size_t num_shards = store_.num_shards();
   std::vector<ShardOutput> outputs(num_shards);
@@ -299,10 +280,20 @@ Result<BatchReport> ScoringFleet::RunShards(
             return status;
           });
     };
+    // The budget is per stuck item: an attempt that got further than the
+    // last failed one starts it afresh, so a long work list (a whole journal
+    // replay) rides out sparse faults as a short batch does.
+    size_t reached = out.progress;
     out.status = RetryWithBackoff(
-        options_.shard_retry, attempt, [&metrics, &out](int, const Status&) {
+        options_.shard_retry, attempt,
+        [&metrics, &out](int, const Status&) {
           metrics.shard_retries->Increment();
           ++out.retries;
+        },
+        [&out, &reached] {
+          if (out.progress == reached) return false;
+          reached = out.progress;
+          return true;
         });
     if (out.status.ok()) out.status = std::move(out.item_error);
   };
@@ -326,27 +317,27 @@ Result<BatchReport> ScoringFleet::RunShards(
   if (num_threads > 1) pool_->WaitIdle();
 
   if (!options_.quarantine_malformed) {
-    // Retries ran out, or an item failed: fail the call with the failure a
-    // frame-by-frame replay meets first — the earliest frame's, lowest
-    // shard first — so the reported error is deterministic.
+    // Retries ran out, or an item failed: fail the call with the failure at
+    // the lowest batch index (a sweep's are all 0: lowest shard first), so
+    // the reported error is deterministic.
     size_t failed = num_shards;
-    size_t failed_frame = ~size_t{0};
+    size_t lowest = 0;
     for (size_t shard = 0; shard < num_shards; ++shard) {
       const ShardOutput& out = outputs[shard];
       if (!shard_health_[shard].ok() || out.status.ok()) continue;
-      size_t frame = 0;
+      size_t index = 0;
       if (by_shard != nullptr) {
         const std::vector<size_t>& indices = (*by_shard)[shard];
-        frame = FrameOf(frames,
-                        indices[std::min(out.progress, indices.size() - 1)]);
+        index = indices[std::min(out.progress, indices.size() - 1)];
       }
-      if (frame < failed_frame) {
+      if (failed == num_shards || index < lowest) {
         failed = shard;
-        failed_frame = frame;
+        lowest = index;
       }
     }
     if (failed < num_shards) {
-      return InFrame(std::move(outputs[failed].status), frames, failed_frame);
+      if (failed_index != nullptr) *failed_index = lowest;
+      return std::move(outputs[failed].status);
     }
   }
 
@@ -396,19 +387,13 @@ Result<BatchReport> ScoringFleet::RunShards(
 
 Result<BatchReport> ScoringFleet::IngestBatch(
     std::span<const retail::Receipt> receipts) {
-  return Ingest(receipts, {});
+  return Ingest(receipts, nullptr);
 }
 
 Result<BatchReport> ScoringFleet::Ingest(
-    std::span<const retail::Receipt> receipts,
-    std::span<const JournalFrame> frames) {
+    std::span<const retail::Receipt> receipts, size_t* failed_index) {
   CHURNLAB_SPAN("serve.ingest_batch");
-  static Failpoint* const batch_failpoint =
-      FailpointRegistry::Global().Get("serve.ingest.batch");
-  if (batch_failpoint->armed()) {
-    Status injected = batch_failpoint->Evaluate();
-    if (!injected.ok()) return InFrame(std::move(injected), frames, 0);
-  }
+  CHURNLAB_FAILPOINT("serve.ingest.batch");
   const ServeMetrics& metrics = Metrics();
   obs::ScopedLatency latency(metrics.ingest_batch_us);
 
@@ -473,7 +458,8 @@ Result<BatchReport> ScoringFleet::Ingest(
     return Status::OK();
   };
   CHURNLAB_ASSIGN_OR_RETURN(BatchReport report,
-                            RunShards(receipts, &by_shard, ingest, frames));
+                            RunShards(receipts, &by_shard, ingest,
+                                      failed_index));
 
   metrics.batches_ingested->Increment();
   metrics.receipts_ingested->Increment(report.receipts_ingested);
@@ -936,8 +922,23 @@ Result<ScoringFleet> ScoringFleet::Recover(
       {serving_threads, std::thread::hardware_concurrency(), 1});
   fleet.options_.num_threads = replay_threads;
   if (!recovery.frames.empty()) {
-    CHURNLAB_RETURN_NOT_OK(
-        fleet.Ingest(recovery.receipts, recovery.frames).status());
+    size_t failed_index = 0;  // an injected batch fault: the first frame's
+    const Result<BatchReport> report =
+        fleet.Ingest(recovery.receipts, &failed_index);
+    if (!report.ok()) {
+      // Name the frame a frame-by-frame replay would have failed in: the
+      // last one starting at or before the failed receipt's sequence.
+      const uint64_t sequence =
+          recovery.frames.front().first_sequence + failed_index;
+      const auto after = std::upper_bound(
+          recovery.frames.begin(), recovery.frames.end(), sequence,
+          [](uint64_t value, const JournalFrame& frame) {
+            return value < frame.first_sequence;
+          });
+      return report.status().WithContext(
+          "replaying journal frame at sequence " +
+          std::to_string(std::prev(after)->first_sequence));
+    }
   }
   fleet.options_.num_threads = serving_threads;
   fleet.pool_.reset();

@@ -51,7 +51,9 @@ struct FleetOptions {
   bool quarantine_malformed = true;
   /// Backoff for failed shard tasks (injected faults and exceptions, never
   /// rejected items) and snapshot file writes. A shard task that still
-  /// fails after `shard_retry.max_retries` retries poisons only its shard.
+  /// fails after `shard_retry.max_retries` retries with no progress (the
+  /// count restarts whenever a retry gets past the item that failed)
+  /// poisons only its shard.
   RetryPolicy shard_retry;
 };
 
@@ -297,9 +299,12 @@ class ScoringFleet {
   /// receipts in sequence order straight from `recovery.receipts` (no
   /// copy). That reproduces the pre-crash state byte-for-byte: a customer's
   /// state depends only on its own receipts in arrival order, so coalesced
-  /// batch boundaries do not matter. Quarantine, poisoning and the error of
-  /// a failed replay (in the context "replaying journal frame at sequence
-  /// N") are those of replaying the frames one IngestBatch each. The replay
+  /// batch boundaries do not matter. Item errors are quarantined as when
+  /// replaying the frames one IngestBatch each; with quarantine off the
+  /// first one in sequence order fails the replay, in the context
+  /// "replaying journal frame at sequence N" of its frame. The shard retry
+  /// budget is per stuck receipt (see FleetOptions::shard_retry), so sparse
+  /// transient faults poison no shard over the whole replay. The replay
   /// counts as one batch in the serve metrics and in
   /// ShardHealthStats::last_batch_receipts.
   ///
@@ -321,24 +326,24 @@ class ScoringFleet {
   void MapSymbols(const retail::Receipt& receipt,
                   std::vector<core::Symbol>* scratch) const;
 
-  /// IngestBatch over `receipts`, the concatenation of the journal
-  /// `frames` (empty outside Recover) in one fan-out; with frames, errors
-  /// name the frame they happened in.
+  /// IngestBatch; when the call fails on a receipt, `failed_index` (if
+  /// non-null) receives its index in `receipts` (see RunShards).
   Result<BatchReport> Ingest(std::span<const retail::Receipt> receipts,
-                             std::span<const JournalFrame> frames);
+                             size_t* failed_index);
 
   /// The one shard fan-out of Ingest (`by_shard`: each shard's batch
   /// indices; runs the shards with receipts) and the sweeps (`by_shard`
   /// null; runs every shard). Runs `step(shard, accessor, output)` on each
   /// healthy shard under its lock, behind the serve.shard.task failpoint
   /// and the shard_retry loop, then merges one sorted report. With
-  /// quarantine off a failure fails the call: the one in the earliest of
-  /// `frames` (see Ingest), lowest shard first.
+  /// quarantine off a failure fails the call: the one at the lowest batch
+  /// index, whose index goes to `failed_index` when non-null (a sweep:
+  /// lowest shard first, index 0).
   template <typename Step>
   Result<BatchReport> RunShards(
       std::span<const retail::Receipt> receipts,
       const std::vector<std::vector<size_t>>* by_shard, Step&& step,
-      std::span<const JournalFrame> frames = {});
+      size_t* failed_index = nullptr);
 
   /// Per-shard cumulative stats behind HealthReport. Written only in the
   /// single-threaded merge phase of an operation (like shard_health_).

@@ -129,8 +129,9 @@ struct FrameHeader {
   Status status;  ///< the first CRC, header or receipt error
   JournalFrame frame;
   /// Receipt slots reserved in JournalRecovery::receipts: the claimed count,
-  /// capped at what the payload's bytes can hold (a frame claiming more
-  /// fails to decode before it fills them).
+  /// capped at what the payload's bytes can hold, so a header that lies
+  /// cannot size slots its bytes could not fill (ParseFrameReceipts fails a
+  /// frame that claims more before it writes past them).
   size_t slots = 0;
   size_t body_offset = 0;  ///< payload bytes taken by the header
 };
@@ -170,7 +171,14 @@ Status ParseFrameReceipts(std::string_view body, uint64_t count,
     if (items > kMaxReceiptItems) {
       return Status::IOError("journal receipt item count is implausible");
     }
-    retail::Receipt& receipt = out[i];  // in bounds: see FrameHeader::slots
+    // Reading the receipt already failed if the slots, sized by the
+    // fewest bytes a receipt takes, ran out; this keeps the write in
+    // bounds should the encoding change.
+    if (i >= out.size()) {
+      return Status::IOError(
+          "journal frame claims more receipts than its payload holds");
+    }
+    retail::Receipt& receipt = out[i];
     receipt.customer = static_cast<retail::CustomerId>(customer);
     receipt.day = static_cast<retail::Day>(day);
     receipt.spend = spend;

@@ -381,6 +381,35 @@ TEST(RetryWithBackoff, ZeroRetriesRunsOnce) {
   EXPECT_EQ(attempts, 1);
 }
 
+TEST(RetryWithBackoff, ProgressRestartsTheRetryCount) {
+  // Each attempt gets one step further until step 5, then sticks there.
+  // With max_retries = 1, every advancing attempt starts a fresh budget at
+  // retry 1; the stuck step gets its one retry and the call fails.
+  RetryPolicy policy;
+  policy.max_retries = 1;
+  policy.initial_backoff_ms = 0.0;
+  int attempts = 0;
+  int done = 0;
+  int reached = 0;
+  std::vector<int> retries;
+  const Status status = RetryWithBackoff(
+      policy,
+      [&]() -> Status {
+        ++attempts;
+        if (done < 5) ++done;
+        return Status::Internal("transient");
+      },
+      [&](int retry, const Status&) { retries.push_back(retry); },
+      [&] {
+        if (done == reached) return false;
+        reached = done;
+        return true;
+      });
+  EXPECT_TRUE(status.IsInternal());
+  EXPECT_EQ(attempts, 6);
+  EXPECT_EQ(retries, std::vector<int>(5, 1));
+}
+
 TEST(RetryPolicy, BackoffClampsAtHighAttemptCounts) {
   // Regression: multiplier^k used to be accumulated by repeated
   // multiplication into a double that overflowed to inf past ~attempt 60

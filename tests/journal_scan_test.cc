@@ -451,6 +451,49 @@ TEST(JournalScanTest, RecoverRidesOutAThrowingShardTask) {
   }
 }
 
+TEST(JournalScanTest, RecoverRidesOutSparseReceiptFaultsOverTheWholeReplay) {
+  // One receipt in seven throws. Over the whole replay every shard meets
+  // more faults than its retry budget, but no receipt fails twice in a
+  // row, so — as in a replay of one IngestBatch per frame — each fault is
+  // retried away and the recovered fleet equals the fault-free oracle.
+  const std::string dir = FreshDir("journal_scan_receipt_throw");
+  const auto frames = FramesWithBadReceipts(true, true);
+  WriteFrames(dir, frames);
+  const JournalRecovery recovery = ScanJournal(dir);
+  Result<ScoringFleet> offline = ReplayPerFrame(frames, true);
+  ASSERT_TRUE(offline.ok()) << offline.status().ToString();
+  const FleetView expected = ViewOf(*offline);
+  const Failpoint* const site =
+      FailpointRegistry::Global().Get("serve.ingest.receipt");
+  constexpr char kSpec[] = "serve.ingest.receipt=throw@every(7)";
+
+  // The per-frame replay rides the faults out too.
+  ASSERT_TRUE(FailpointRegistry::Global().ArmFromSpec(kSpec).ok());
+  Result<ScoringFleet> faulty_offline = ReplayPerFrame(frames, true);
+  FailpointRegistry::Global().DisarmAll();
+  ASSERT_TRUE(faulty_offline.ok()) << faulty_offline.status().ToString();
+  EXPECT_EQ(ViewOf(*faulty_offline), expected);
+
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    FailpointRegistry::Global().DisarmAll();
+    ASSERT_TRUE(FailpointRegistry::Global().ArmFromSpec(kSpec).ok());
+    const FleetOptions options = PinFleetOptions(threads, true);
+    Result<ScoringFleet> recovered =
+        ScoringFleet::Recover(recovery, "", options, nullptr);
+    const uint64_t fires = site->fires();
+    FailpointRegistry::Global().DisarmAll();
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    // More faults than all shards' budgets together: some shard met more
+    // than max_retries of them.
+    EXPECT_GT(fires, options.num_shards *
+                         static_cast<uint64_t>(options.shard_retry.max_retries))
+        << threads << " threads";
+    EXPECT_EQ(recovered->HealthReport().poisoned_shards, 0u)
+        << threads << " threads";
+    EXPECT_EQ(ViewOf(*recovered), expected) << threads << " threads";
+  }
+}
+
 }  // namespace
 }  // namespace serve
 }  // namespace churnlab

@@ -358,8 +358,8 @@ struct FleetFlags {
                     "observe raw products instead of taxonomy segments",
                     &products);
     parser->AddInt64("max-shard-retries", 2,
-                     "retries per failed shard task before the shard is "
-                     "poisoned",
+                     "retries of a shard task stuck on one item before "
+                     "the shard is poisoned",
                      &max_shard_retries);
     parser->AddString("resume", "",
                       "restore the fleet from this snapshot first", &resume);
