@@ -5,7 +5,9 @@
 #include <filesystem>
 #include <iterator>
 #include <string>
+#include <string_view>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -264,6 +266,304 @@ TEST(DayMonthConversions, Basics) {
   EXPECT_EQ(DayToMonth(-1), -1);
   EXPECT_EQ(DayToMonth(-30), -1);
   EXPECT_EQ(DayToMonth(-31), -2);
+}
+
+
+// ---------------------------------------------------------------------------
+// Pins of LoadBinary's receipt section on a file large enough for a chunked
+// decoder (at least three chunks of 1,024 receipts): the load reports the
+// earliest bad receipt with the status the serial decoder gives, and a
+// good file loads exactly as Append would build it.
+// ---------------------------------------------------------------------------
+
+constexpr size_t kPinReceipts = 5 * 1024 + 100;
+constexpr size_t kPinItems = 20;
+
+enum class Fault {
+  kNone,
+  kTruncatedVarint,  // the file ends inside the receipt's customer varint
+  kTruncatedDouble,  // the file ends inside the receipt's spend
+  kItemCountBeyondBytes,
+  kVarintOverflow,  // an 11-byte customer varint
+  kInvalidCustomer,
+  kNegativeDay,
+  kInvalidItem,
+  kBadCohort,  // a label, after every receipt
+};
+
+// The status the loader reports for `fault` placed at receipt `r`.
+Status ExpectedStatus(Fault fault, size_t r) {
+  switch (fault) {
+    case Fault::kTruncatedVarint:
+      return Status::OutOfRange("truncated varint at end of buffer");
+    case Fault::kTruncatedDouble:
+      return Status::OutOfRange("truncated double at end of buffer");
+    case Fault::kItemCountBeyondBytes:
+      return Status::InvalidArgument(
+          "receipt item count exceeds remaining dataset bytes");
+    case Fault::kVarintOverflow:
+      return Status::OutOfRange("varint overflows 64 bits");
+    case Fault::kInvalidCustomer:
+      return Status::InvalidArgument("receipt has invalid customer id");
+    case Fault::kNegativeDay:
+      return Status::InvalidArgument("receipt day must be >= 0, got -" +
+                                     std::to_string(r + 1));
+    case Fault::kInvalidItem:
+      return Status::InvalidArgument("receipt contains kInvalidItem");
+    case Fault::kBadCohort:
+      return Status::InvalidArgument("corrupt cohort value 7");
+    case Fault::kNone:
+      break;
+  }
+  return Status::OK();
+}
+
+// Receipt `r` of the pin file: customers ascending with four receipts each,
+// days ascending within a customer, and 1-5 items as delta varints.
+struct PinReceipt {
+  CustomerId customer;
+  Day day;
+  double spend;
+  std::vector<uint64_t> deltas;
+};
+
+PinReceipt MakePinReceipt(size_t r) {
+  PinReceipt receipt;
+  receipt.customer = static_cast<CustomerId>(1000 + r / 4);
+  receipt.day = static_cast<Day>(1 + (r % 4) * 100 + r % 7);
+  receipt.spend = 0.25 * static_cast<double>(r);
+  receipt.deltas.push_back(r % 3);
+  for (size_t i = 1; i < 1 + r % 5; ++i) receipt.deltas.push_back(3);
+  return receipt;
+}
+
+// Writes the pin file to `path` with a fault at each receipt index of
+// `faults` (kBadCohort's index is ignored: it corrupts the first label).
+// `deltas` replaces the item deltas of chosen receipts.
+void WritePinFile(const std::string& path,
+                  const std::vector<std::pair<size_t, Fault>>& faults,
+                  const std::vector<std::pair<size_t, std::vector<uint64_t>>>&
+                      deltas = {}) {
+  BinaryWriter writer;
+  writer.WriteVarint(0x43484C4231ULL);  // "CHLB1"
+  writer.WriteVarint(1);                // version
+  writer.WriteVarint(kPinItems);
+  for (size_t i = 0; i < kPinItems; ++i) {
+    writer.WriteString("item" + std::to_string(i));
+  }
+  writer.WriteVarint(1);  // departments
+  writer.WriteString("grocery");
+  writer.WriteVarint(1);  // segments
+  writer.WriteString("all");
+  writer.WriteVarint(0);
+  writer.WriteVarint(kPinItems);  // item -> segment assignments
+  for (size_t i = 0; i < kPinItems; ++i) {
+    writer.WriteVarint(i);
+    writer.WriteVarint(0);
+  }
+  const auto fault_at = [&](size_t r) {
+    for (const auto& [index, fault] : faults) {
+      if (index == r && fault != Fault::kBadCohort) return fault;
+    }
+    return Fault::kNone;
+  };
+  writer.WriteVarint(kPinReceipts);
+  for (size_t r = 0; r < kPinReceipts; ++r) {
+    PinReceipt receipt = MakePinReceipt(r);
+    for (const auto& [index, replaced] : deltas) {
+      if (index == r) receipt.deltas = replaced;
+    }
+    const Fault fault = fault_at(r);
+    if (fault == Fault::kTruncatedVarint) {
+      BinaryWriter customer;
+      customer.WriteVarint(receipt.customer);
+      ASSERT_GT(customer.buffer().size(), 1u);
+      writer.WriteBytes(customer.buffer().data(), 1);
+      ASSERT_TRUE(writer.SaveToFile(path).ok());
+      return;
+    }
+    if (fault == Fault::kVarintOverflow) {
+      const unsigned char overflow[] = {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                                        0xFF, 0xFF, 0xFF, 0xFF, 0x01};
+      writer.WriteBytes(overflow, sizeof(overflow));
+    } else {
+      writer.WriteVarint(fault == Fault::kInvalidCustomer ? kInvalidCustomer
+                                                          : receipt.customer);
+    }
+    writer.WriteSignedVarint(fault == Fault::kNegativeDay
+                                 ? -static_cast<int64_t>(r + 1)
+                                 : int64_t{receipt.day});
+    if (fault == Fault::kTruncatedDouble) {
+      writer.WriteBytes(&receipt.spend, 3);
+      ASSERT_TRUE(writer.SaveToFile(path).ok());
+      return;
+    }
+    writer.WriteDouble(receipt.spend);
+    if (fault == Fault::kInvalidItem) {
+      receipt.deltas = {3, uint64_t{kInvalidItem} - 3};
+    }
+    writer.WriteVarint(fault == Fault::kItemCountBeyondBytes
+                           ? uint64_t{1} << 40
+                           : receipt.deltas.size());
+    for (const uint64_t delta : receipt.deltas) writer.WriteVarint(delta);
+  }
+  bool bad_cohort = false;
+  for (const auto& [index, fault] : faults) {
+    bad_cohort = bad_cohort || fault == Fault::kBadCohort;
+  }
+  writer.WriteVarint(2);  // labels
+  writer.WriteVarint(1000);
+  writer.WriteVarint(bad_cohort ? 7 : static_cast<uint64_t>(Cohort::kLoyal));
+  writer.WriteSignedVarint(-1);
+  writer.WriteVarint(1001);
+  writer.WriteVarint(static_cast<uint64_t>(Cohort::kDefecting));
+  writer.WriteSignedVarint(12);
+  ASSERT_TRUE(writer.SaveToFile(path).ok());
+}
+
+// A path of the running test's own: ctest runs tests in parallel.
+std::string PinPath(std::string_view suffix = "") {
+  return testing::TempDir() + "/churnlab_pin_" +
+         testing::UnitTest::GetInstance()->current_test_info()->name() +
+         std::string(suffix) + ".clb";
+}
+
+constexpr Fault kReceiptFaults[] = {
+    Fault::kTruncatedVarint, Fault::kTruncatedDouble,
+    Fault::kItemCountBeyondBytes, Fault::kVarintOverflow,
+    Fault::kInvalidCustomer, Fault::kNegativeDay, Fault::kInvalidItem};
+
+bool EndsTheFile(Fault fault) {
+  return fault == Fault::kTruncatedVarint || fault == Fault::kTruncatedDouble;
+}
+
+TEST(DatasetLoadBinary, ReportsOneBadReceiptInAnyChunk) {
+  const std::string path = PinPath();
+  // The first chunk, a middle chunk, and the last receipt.
+  for (const size_t r : {size_t{5}, size_t{2 * 1024 + 300}, kPinReceipts - 1}) {
+    for (const Fault fault : kReceiptFaults) {
+      SCOPED_TRACE("fault " + std::to_string(static_cast<int>(fault)) +
+                   " at receipt " + std::to_string(r));
+      WritePinFile(path, {{r, fault}});
+      const auto loaded = Dataset::LoadBinary(path);
+      ASSERT_FALSE(loaded.ok());
+      EXPECT_EQ(loaded.status().ToString(),
+                ExpectedStatus(fault, r).ToString());
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(DatasetLoadBinary, ReportsBadCohortAfterEveryReceipt) {
+  const std::string path = PinPath();
+  WritePinFile(path, {{0, Fault::kBadCohort}});
+  const auto loaded = Dataset::LoadBinary(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().ToString(),
+            ExpectedStatus(Fault::kBadCohort, 0).ToString());
+  std::remove(path.c_str());
+}
+
+TEST(DatasetLoadBinary, ReportsTheEarliestOfTwoFaultsInDifferentChunks) {
+  // Every fault that leaves the file whole, in chunk 1, ahead of every
+  // fault in chunk 3 (or a bad label); the earlier one is reported.
+  const std::string path = PinPath();
+  const size_t early = 1024 + 7;
+  const size_t late = 3 * 1024 + 11;
+  for (const Fault first : kReceiptFaults) {
+    if (EndsTheFile(first)) continue;
+    std::vector<Fault> seconds(std::begin(kReceiptFaults),
+                               std::end(kReceiptFaults));
+    seconds.push_back(Fault::kBadCohort);
+    for (const Fault second : seconds) {
+      SCOPED_TRACE("fault " + std::to_string(static_cast<int>(first)) +
+                   " then " + std::to_string(static_cast<int>(second)));
+      WritePinFile(path, {{early, first}, {late, second}});
+      const auto loaded = Dataset::LoadBinary(path);
+      ASSERT_FALSE(loaded.ok());
+      EXPECT_EQ(loaded.status().ToString(),
+                ExpectedStatus(first, early).ToString());
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(DatasetLoadBinary, MultiChunkResaveIsByteIdentical) {
+  const std::string path = PinPath();
+  WritePinFile(path, {});
+  const Dataset original = Dataset::LoadBinary(path).ValueOrDie();
+  ASSERT_EQ(original.store().num_receipts(), kPinReceipts);
+  const std::string first = PinPath("_a");
+  const std::string second = PinPath("_b");
+  ASSERT_TRUE(original.SaveBinary(first).ok());
+  const auto loaded = Dataset::LoadBinary(first);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_TRUE(loaded->SaveBinary(second).ok());
+  const auto bytes = [](const std::string& file) {
+    return BinaryReader::OpenFile(file).ValueOrDie().ReadBytes(
+        std::filesystem::file_size(file)).ValueOrDie();
+  };
+  EXPECT_EQ(bytes(first), bytes(second));
+  // The pin file is already in SaveBinary's canonical form.
+  EXPECT_EQ(bytes(path), bytes(first));
+  std::remove(path.c_str());
+  std::remove(first.c_str());
+  std::remove(second.c_str());
+}
+
+TEST(DatasetLoadBinary, NormalisesItemsExactlyAsAppend) {
+  // Zero deltas repeat an item; a delta past 2^32 - 1 wraps the running id,
+  // so the list is out of order; both are normalised as Append does.
+  const std::vector<std::pair<size_t, std::vector<uint64_t>>> deltas = {
+      {3, {5, 0, 0, 3}},
+      {1024 + 1, {10, (uint64_t{1} << 32) - 7}},
+      {2 * 1024 + 9, {7, 0, (uint64_t{1} << 40) + 2, 0}},
+      {4 * 1024 + 2, {0, 0}},
+      {kPinReceipts - 1, {12, (uint64_t{1} << 32) - 12, 1, 0}},
+  };
+  const std::string path = PinPath();
+  WritePinFile(path, {}, deltas);
+  const auto loaded = Dataset::LoadBinary(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+
+  TransactionStore expected;
+  for (size_t r = 0; r < kPinReceipts; ++r) {
+    PinReceipt pin = MakePinReceipt(r);
+    for (const auto& [index, replaced] : deltas) {
+      if (index == r) pin.deltas = replaced;
+    }
+    Receipt receipt;
+    receipt.customer = pin.customer;
+    receipt.day = pin.day;
+    receipt.spend = pin.spend;
+    ItemId previous = 0;
+    for (const uint64_t delta : pin.deltas) {
+      previous = static_cast<ItemId>(previous + delta);
+      receipt.items.push_back(previous);
+    }
+    ASSERT_TRUE(expected.Append(std::move(receipt)).ok());
+  }
+  expected.Finalize();
+  const TransactionStore& store = loaded->store();
+  ASSERT_EQ(store.num_receipts(), expected.num_receipts());
+  EXPECT_EQ(store.min_day(), expected.min_day());
+  EXPECT_EQ(store.max_day(), expected.max_day());
+  EXPECT_EQ(store.item_id_bound(), expected.item_id_bound());
+  EXPECT_EQ(store.Customers(), expected.Customers());
+  for (size_t i = 0; i < store.num_receipts(); ++i) {
+    const Receipt& got = store.AllReceipts()[i];
+    const Receipt& want = expected.AllReceipts()[i];
+    ASSERT_EQ(got.customer, want.customer) << i;
+    ASSERT_EQ(got.day, want.day) << i;
+    ASSERT_EQ(got.spend, want.spend) << i;
+    ASSERT_EQ(got.items, want.items) << i;
+  }
+  EXPECT_EQ(store.AllReceipts()[3].items, (std::vector<ItemId>{5, 8}));
+  EXPECT_EQ(store.AllReceipts()[1024 + 1].items,
+            (std::vector<ItemId>{3, 10}));
+  EXPECT_EQ(store.AllReceipts()[4 * 1024 + 2].items,
+            (std::vector<ItemId>{0}));
+  std::remove(path.c_str());
 }
 
 }  // namespace
