@@ -214,6 +214,19 @@ Result<uint64_t> BinaryReader::ReadVarint() {
   return Status::OutOfRange("truncated varint at end of buffer");
 }
 
+Status BinaryReader::SkipVarints(uint64_t count) {
+  // A varint ends at its first byte without the continuation bit, so
+  // skipping is counting such bytes: one compare per byte, no decode.
+  const size_t size = data_.size();
+  size_t pos = pos_;
+  while (count > 0 && pos < size) {
+    count -= static_cast<uint8_t>(data_[pos++]) < 0x80 ? 1 : 0;
+  }
+  pos_ = pos;
+  if (count > 0) return Status::OutOfRange("truncated varint at end of buffer");
+  return Status::OK();
+}
+
 Result<int64_t> BinaryReader::ReadSignedVarint() {
   CHURNLAB_ASSIGN_OR_RETURN(const uint64_t zigzag, ReadVarint());
   return static_cast<int64_t>((zigzag >> 1) ^ (~(zigzag & 1) + 1));

@@ -1,6 +1,7 @@
 #ifndef CHURNLAB_COMMON_BINARY_IO_H_
 #define CHURNLAB_COMMON_BINARY_IO_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -98,9 +99,25 @@ class BinaryReader {
   /// bytes and lives as long as they do.
   Result<std::string_view> ReadView(size_t size);
 
+  /// Steps over `count` varints without decoding them. Bounds-checked:
+  /// fewer than `count` varints left fails with OutOfRange, as ReadVarint
+  /// does, and leaves the reader at the end. An over-long varint is not
+  /// detected here; ReadVarint rejects it.
+  Status SkipVarints(uint64_t count);
+
   /// True when the whole buffer has been consumed.
   bool AtEnd() const { return pos_ >= data_.size(); }
   size_t remaining() const { return data_.size() - pos_; }
+  /// Bytes consumed so far.
+  size_t position() const { return pos_; }
+  /// A reader over the same bytes, without copying them, at `position`
+  /// (clamped to the end). It reads only while this reader's bytes live;
+  /// its remaining() counts to the same end as this reader's.
+  BinaryReader ViewAt(size_t position) const {
+    BinaryReader view = Over(data_);
+    view.pos_ = std::min(position, data_.size());
+    return view;
+  }
 
  private:
   BinaryReader() = default;

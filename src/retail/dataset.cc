@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <thread>
 
 #include "common/binary_io.h"
 #include "common/csv.h"
@@ -10,6 +11,7 @@
 #include "common/macros.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -34,6 +36,91 @@ void RecordDatasetLoaded(const Dataset& dataset, double seconds) {
   datasets->Increment();
   receipts->Increment(dataset.store().num_receipts());
   load_seconds->Set(seconds);
+}
+
+// Fewest bytes a receipt takes: customer, day and item-count varints and
+// the 8-byte spend.
+constexpr size_t kMinReceiptBytes = 11;
+
+// Decodes one receipt at `reader` and normalises it as Append does.
+Status DecodeReceipt(BinaryReader* reader, Receipt* receipt) {
+  CHURNLAB_ASSIGN_OR_RETURN(const uint64_t customer, reader->ReadVarint());
+  receipt->customer = static_cast<CustomerId>(customer);
+  CHURNLAB_ASSIGN_OR_RETURN(const int64_t day, reader->ReadSignedVarint());
+  receipt->day = static_cast<Day>(day);
+  CHURNLAB_ASSIGN_OR_RETURN(receipt->spend, reader->ReadDouble());
+  CHURNLAB_ASSIGN_OR_RETURN(const uint64_t item_count, reader->ReadVarint());
+  // Untrusted length prefix: each item takes at least one byte, so an
+  // item count beyond the remaining bytes is corruption — reject before
+  // reserving storage sized from it.
+  if (item_count > reader->remaining()) {
+    return Status::InvalidArgument(
+        "receipt item count exceeds remaining dataset bytes");
+  }
+  std::vector<ItemId>& items = receipt->items;
+  items.reserve(item_count);
+  ItemId previous = 0;
+  for (uint64_t i = 0; i < item_count; ++i) {
+    CHURNLAB_ASSIGN_OR_RETURN(const uint64_t delta, reader->ReadVarint());
+    previous = static_cast<ItemId>(previous + delta);
+    items.push_back(previous);
+  }
+  return TransactionStore::NormalizeReceipt(receipt);
+}
+
+// Steps over one receipt without decoding it, with the bounds checks of
+// DecodeReceipt.
+Status SkipReceipt(BinaryReader* reader) {
+  CHURNLAB_RETURN_NOT_OK(reader->SkipVarints(2));  // customer, day
+  CHURNLAB_RETURN_NOT_OK(reader->ReadDouble().status());
+  CHURNLAB_ASSIGN_OR_RETURN(const uint64_t item_count, reader->ReadVarint());
+  if (item_count > reader->remaining()) {
+    return Status::InvalidArgument(
+        "receipt item count exceeds remaining dataset bytes");
+  }
+  return reader->SkipVarints(item_count);
+}
+
+// Decodes the `num_receipts` receipts at `reader` on every core and leaves
+// `reader` after them. One skim on the calling thread finds where each
+// chunk of Dataset::kLoadChunkReceipts receipts starts; then each chunk is
+// decoded into its slots of one exactly sized vector. Any failure is the
+// one a receipt-by-receipt decode reports: chunks are checked in order,
+// and each stops at its first bad receipt.
+Result<std::vector<Receipt>> DecodeReceipts(uint64_t num_receipts,
+                                            BinaryReader* reader) {
+  constexpr size_t kChunk = Dataset::kLoadChunkReceipts;
+  // The count is untrusted; the bytes bound how many receipts there are.
+  std::vector<size_t> chunk_starts;
+  chunk_starts.reserve(
+      std::min<uint64_t>(num_receipts, reader->remaining() / kMinReceiptBytes) /
+          kChunk +
+      1);
+  // A receipt the skim cannot step over is the end of the last chunk: its
+  // decode fails there, or at an earlier bad receipt.
+  Status skimmed = Status::OK();
+  for (uint64_t r = 0; r < num_receipts && skimmed.ok(); ++r) {
+    if (r % kChunk == 0) chunk_starts.push_back(reader->position());
+    skimmed = SkipReceipt(reader);
+  }
+  const size_t decoded = static_cast<size_t>(
+      std::min<uint64_t>(num_receipts, chunk_starts.size() * kChunk));
+  std::vector<Receipt> receipts(decoded);
+  std::vector<Status> chunk_status(chunk_starts.size());
+  const size_t threads =
+      std::max<size_t>(1, std::thread::hardware_concurrency());
+  ParallelFor(0, chunk_starts.size(), threads, [&](size_t c) {
+    BinaryReader chunk = reader->ViewAt(chunk_starts[c]);
+    const size_t end = std::min(decoded, (c + 1) * kChunk);
+    for (size_t r = c * kChunk; r < end && chunk_status[c].ok(); ++r) {
+      chunk_status[c] = DecodeReceipt(&chunk, &receipts[r]);
+    }
+  });
+  for (Status& status : chunk_status) {
+    if (!status.ok()) return std::move(status);
+  }
+  CHURNLAB_RETURN_NOT_OK(skimmed);
+  return receipts;
 }
 
 void RecordDatasetSaved() {
@@ -488,30 +575,9 @@ Result<Dataset> Dataset::LoadBinary(const std::string& path) {
   }
 
   CHURNLAB_ASSIGN_OR_RETURN(const uint64_t num_receipts, reader.ReadVarint());
-  for (uint64_t r = 0; r < num_receipts; ++r) {
-    Receipt receipt;
-    CHURNLAB_ASSIGN_OR_RETURN(const uint64_t customer, reader.ReadVarint());
-    receipt.customer = static_cast<CustomerId>(customer);
-    CHURNLAB_ASSIGN_OR_RETURN(const int64_t day, reader.ReadSignedVarint());
-    receipt.day = static_cast<Day>(day);
-    CHURNLAB_ASSIGN_OR_RETURN(receipt.spend, reader.ReadDouble());
-    CHURNLAB_ASSIGN_OR_RETURN(const uint64_t item_count, reader.ReadVarint());
-    // Untrusted length prefix: each item takes at least one byte, so an
-    // item count beyond the remaining bytes is corruption — reject before
-    // reserving storage sized from it.
-    if (item_count > reader.remaining()) {
-      return Status::InvalidArgument(
-          "receipt item count exceeds remaining dataset bytes");
-    }
-    receipt.items.reserve(item_count);
-    ItemId previous = 0;
-    for (uint64_t i = 0; i < item_count; ++i) {
-      CHURNLAB_ASSIGN_OR_RETURN(const uint64_t delta, reader.ReadVarint());
-      previous = static_cast<ItemId>(previous + delta);
-      receipt.items.push_back(previous);
-    }
-    CHURNLAB_RETURN_NOT_OK(dataset.store_.Append(std::move(receipt)));
-  }
+  CHURNLAB_ASSIGN_OR_RETURN(std::vector<Receipt> receipts,
+                            DecodeReceipts(num_receipts, &reader));
+  dataset.store_.Adopt(std::move(receipts));
 
   CHURNLAB_ASSIGN_OR_RETURN(const uint64_t num_labels, reader.ReadVarint());
   for (uint64_t i = 0; i < num_labels; ++i) {

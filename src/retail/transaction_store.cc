@@ -2,29 +2,37 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
+
+#include "common/macros.h"
 
 namespace churnlab {
 namespace retail {
 
-Status TransactionStore::Append(Receipt receipt) {
-  if (finalized_) {
-    return Status::InvalidArgument("cannot append to a finalized store");
-  }
-  if (receipt.customer == kInvalidCustomer) {
+Status TransactionStore::NormalizeReceipt(Receipt* receipt) {
+  if (receipt->customer == kInvalidCustomer) {
     return Status::InvalidArgument("receipt has invalid customer id");
   }
-  if (receipt.day < 0) {
+  if (receipt->day < 0) {
     return Status::InvalidArgument("receipt day must be >= 0, got " +
-                                   std::to_string(receipt.day));
+                                   std::to_string(receipt->day));
   }
-  std::sort(receipt.items.begin(), receipt.items.end());
-  receipt.items.erase(
-      std::unique(receipt.items.begin(), receipt.items.end()),
-      receipt.items.end());
-  if (!receipt.items.empty() && receipt.items.back() == kInvalidItem) {
+  std::vector<ItemId>& items = receipt->items;
+  // A strictly ascending list (what SaveBinary writes) is already a sorted
+  // set; only another order pays for the sort.
+  if (std::adjacent_find(items.begin(), items.end(),
+                         std::greater_equal<ItemId>()) != items.end()) {
+    std::sort(items.begin(), items.end());
+    items.erase(std::unique(items.begin(), items.end()), items.end());
+  }
+  if (!items.empty() && items.back() == kInvalidItem) {
     return Status::InvalidArgument("receipt contains kInvalidItem");
   }
-  if (receipts_.empty()) {
+  return Status::OK();
+}
+
+void TransactionStore::Cover(const Receipt& receipt, bool first) {
+  if (first) {
     min_day_ = receipt.day;
     max_day_ = receipt.day;
   } else {
@@ -35,9 +43,24 @@ Status TransactionStore::Append(Receipt receipt) {
     item_id_bound_ =
         std::max(item_id_bound_, static_cast<size_t>(receipt.items.back()) + 1);
   }
+}
+
+Status TransactionStore::Append(Receipt receipt) {
+  if (finalized_) {
+    return Status::InvalidArgument("cannot append to a finalized store");
+  }
+  CHURNLAB_RETURN_NOT_OK(NormalizeReceipt(&receipt));
+  Cover(receipt, receipts_.empty());
   receipts_.push_back(std::move(receipt));
   distinct_items_valid_ = false;
   return Status::OK();
+}
+
+void TransactionStore::Adopt(std::vector<Receipt> receipts) {
+  assert(!finalized_ && receipts_.empty());
+  receipts_ = std::move(receipts);
+  for (size_t i = 0; i < receipts_.size(); ++i) Cover(receipts_[i], i == 0);
+  distinct_items_valid_ = false;
 }
 
 void TransactionStore::Finalize() {

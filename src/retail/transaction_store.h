@@ -36,10 +36,21 @@ class TransactionStore {
   TransactionStore(const TransactionStore&) = delete;
   TransactionStore& operator=(const TransactionStore&) = delete;
 
-  /// Appends one receipt. The item list is sorted and deduplicated (baskets
-  /// are item sets in this model). Fails if the store is already finalized,
-  /// the customer id is invalid, or the day is negative.
+  /// Appends one receipt, normalised by NormalizeReceipt. Fails if the
+  /// store is already finalized or NormalizeReceipt fails.
   Status Append(Receipt receipt);
+
+  /// The checks and normalisation of one receipt that every way into the
+  /// store shares: fails if the customer id is invalid, the day is
+  /// negative, or an item is kInvalidItem; sorts and deduplicates the item
+  /// list (baskets are item sets in this model). Touches only `receipt`,
+  /// so loaders call it from many threads at once.
+  static Status NormalizeReceipt(Receipt* receipt);
+
+  /// Bulk counterpart of Append: takes over `receipts`, each already
+  /// passed through NormalizeReceipt, without copying them. Requires an
+  /// empty, unfinalized store.
+  void Adopt(std::vector<Receipt> receipts);
 
   /// Sorts receipts and builds the customer index. Idempotent.
   void Finalize();
@@ -73,6 +84,9 @@ class TransactionStore {
   size_t CountDistinctItems() const;
 
  private:
+  /// Widens the day range and item-id bound to cover `receipt`.
+  void Cover(const Receipt& receipt, bool first);
+
   struct CustomerSlot {
     size_t begin = 0;
     size_t end = 0;
