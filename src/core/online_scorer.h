@@ -70,7 +70,9 @@ class OnlineStabilityScorer {
   /// belong to a later window. Returns FailedPrecondition when no
   /// observation was ever fed (via Observe or AdvanceTo): window 0 would be
   /// a vacuous all-defaults point, and emitting it used to silently skew
-  /// downstream aggregations.
+  /// downstream aggregations. Returns InvalidArgument, changing nothing,
+  /// when the current window is 2^20 or later: a state with that window
+  /// closed would not load back (see kernel::kMaxWindowsSeen).
   Result<StabilityPoint> Finish();
 
   /// Index of the window currently being accumulated.

@@ -628,6 +628,12 @@ Result<StabilityPoint> ScorerFinish(
     return Status::FailedPrecondition(
         "no observations were ever fed; window 0 would be vacuous");
   }
+  // A saved state with more windows would not load back.
+  if (static_cast<uint64_t>(state.current_window) >= kMaxWindowsSeen) {
+    return Status::InvalidArgument(
+        "closing window " + std::to_string(state.current_window) +
+        " would pass the 2^20-window horizon");
+  }
   // The next acceptable observation starts at the next window boundary.
   state.last_observed_day =
       std::max(state.last_observed_day,

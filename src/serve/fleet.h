@@ -217,7 +217,10 @@ class ScoringFleet {
 
   /// Flushes every customer's in-progress window and evaluates it against
   /// the policy (end-of-stream). Never-fed customers contribute nothing.
-  /// Alerts are sorted, and errors settled, as in AdvanceAllTo.
+  /// Alerts are sorted, and errors settled, as in AdvanceAllTo. A customer
+  /// whose in-progress window is at the 2^20-window horizon (a second
+  /// FinishAll after a receipt in window 2^20 - 1) is such an item error,
+  /// quarantined under batch_index 0 and day 0 with its state unchanged.
   Result<BatchReport> FinishAll();
 
   size_t NumCustomers() const { return store_.NumCustomers(); }

@@ -132,6 +132,21 @@ TEST(OnlineStabilityScorer, RejectsInputsBeyondTheSnapshotCaps) {
   EXPECT_EQ(scorer.current_window(), (1 << 20) - 1);
 }
 
+TEST(OnlineStabilityScorer, FinishStopsAtTheWindowHorizon) {
+  // Window 2^20 - 1 is the last one a saved state can hold closed; Finish
+  // refuses to close window 2^20 and changes nothing.
+  auto scorer = OnlineStabilityScorer::Make(TwoMonthOptions()).ValueOrDie();
+  const retail::Day past_horizon = 60 * (retail::Day{1} << 20);
+  ASSERT_TRUE(scorer.Observe(5, {1}).ok());
+  ASSERT_TRUE(scorer.AdvanceTo(past_horizon - 1).ok());
+  ASSERT_TRUE(scorer.Finish().ok());
+  EXPECT_EQ(scorer.current_window(), 1 << 20);
+  EXPECT_EQ(scorer.windows_emitted(), 1 << 20);
+  EXPECT_TRUE(scorer.Finish().status().IsInvalidArgument());
+  EXPECT_EQ(scorer.current_window(), 1 << 20);
+  EXPECT_EQ(scorer.windows_emitted(), 1 << 20);
+}
+
 // The load-bearing property: streaming results are identical to the batch
 // Windower + StabilityComputer pipeline on the same receipts.
 class OnlineBatchEquivalenceTest

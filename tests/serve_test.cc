@@ -392,6 +392,52 @@ TEST(ScoringFleet, SweepQuarantinesCustomersWhoseStreamRejectsTheDay) {
   EXPECT_TRUE(later.rejected.empty());
 }
 
+TEST(ScoringFleet, FinishAllQuarantinesCustomersAtTheWindowHorizon) {
+  // After a receipt in window 2^20 - 1 the first FinishAll closes that
+  // window, the last one a snapshot can load back. A second FinishAll
+  // would close window 2^20: each such customer is quarantined as a
+  // rejected sweep day is, nothing is retried, and the state still loads.
+  obs::Counter* const retries = obs::MetricsRegistry::Global().GetCounter(
+      "churnlab.serve.shard_retries");
+  auto fleet = ScoringFleet::Make(SmallFleetOptions(), nullptr).ValueOrDie();
+  const Day last_window_day = 30 * ((Day{1} << 20) - 1);
+  std::vector<Receipt> batch;
+  batch.push_back(MakeReceipt(1, 0, {1, 2}));
+  batch.push_back(MakeReceipt(1, last_window_day, {1}));
+  batch.push_back(MakeReceipt(2, last_window_day + 29, {2}));
+  ASSERT_EQ(fleet.IngestBatch(batch).ValueOrDie().receipts_ingested, 3u);
+  const BatchReport first = fleet.FinishAll().ValueOrDie();
+  EXPECT_TRUE(first.rejected.empty());
+  const std::string closed = SnapshotOf(fleet);
+  {
+    BinaryReader reader(closed);
+    ASSERT_TRUE(ScoringFleet::Restore(&reader, nullptr).ok());
+  }
+
+  const uint64_t retries_before = retries->Value();
+  const BatchReport second = fleet.FinishAll().ValueOrDie();
+  EXPECT_TRUE(second.poisoned.empty());
+  EXPECT_TRUE(second.alerts.empty());
+  ASSERT_EQ(second.rejected.size(), 2u);
+  for (size_t i = 0; i < second.rejected.size(); ++i) {
+    const RejectedReceipt& rejected = second.rejected[i];
+    EXPECT_EQ(rejected.customer, i + 1);
+    EXPECT_EQ(rejected.batch_index, 0u);
+    EXPECT_EQ(rejected.day, 0);
+    EXPECT_TRUE(rejected.reason.IsInvalidArgument())
+        << rejected.reason.ToString();
+  }
+  EXPECT_EQ(retries->Value(), retries_before);
+  EXPECT_EQ(SnapshotOf(fleet), closed) << "a rejected finish changes nothing";
+  BinaryReader reader(SnapshotOf(fleet));
+  const auto restored = ScoringFleet::Restore(&reader, nullptr);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(SnapshotOf(*restored), closed);
+  for (size_t shard = 0; shard < 4; ++shard) {
+    EXPECT_TRUE(fleet.ShardHealth(shard).ok()) << shard;
+  }
+}
+
 TEST(ScoringFleet, RaisesLowStabilityAlertWhenBasketCollapses) {
   // Customer buys {1, 2, 3} every week for four 30-day windows, then keeps
   // visiting but buys only item 9: the habitual products disappear and
