@@ -52,7 +52,9 @@ void* BlockArena::Allocate(size_t min_bytes, size_t* capacity_bytes) {
     // counted as reserved-but-unused slack.
     Chunk chunk;
     chunk.size = cls > chunk_bytes_ ? cls : chunk_bytes_;
-    chunk.data = std::make_unique<unsigned char[]>(chunk.size);
+    // Left uninitialised, as Allocate documents: no reader depends on
+    // zeroed bytes, and zero-filling every chunk is pure cost.
+    chunk.data = std::make_unique_for_overwrite<unsigned char[]>(chunk.size);
     bytes_reserved_ += chunk.size;
     chunks_.push_back(std::move(chunk));
   }
