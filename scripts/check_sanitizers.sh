@@ -18,9 +18,9 @@ JOBS=$(nproc 2>/dev/null || echo 2)
 
 # The test binaries that exercise threads, the streaming kernels over arena
 # blocks (every tracker, scorer, monitor and store customer), the parallel
-# evaluation sweeps, and the journal (group commit, and recovery replayed
-# through the fleet) — built selectively to keep the instrumented build
-# small.
+# evaluation sweeps, the journal (group commit, and recovery replayed
+# through the fleet), and the dataset loader's parallel receipt decode —
+# built selectively to keep the instrumented build small.
 TARGETS=(thread_pool_test significance_test significance_equivalence_test
          stability_test stability_model_test online_scorer_test
          monitor_test explanation_test integration_test
@@ -30,9 +30,10 @@ TARGETS=(thread_pool_test significance_test significance_equivalence_test
          journal_test journal_fuzz_test journal_scan_test
          telemetry_concurrency_test flight_recorder_test
          http_parser_test net_json_test net_admission_test
-         net_coalescer_test net_server_test)
+         net_coalescer_test net_server_test
+         dataset_test robustness_test transaction_store_test)
 # gtest registers tests by suite name, so filter on those.
-TEST_FILTER='ThreadPool|ParallelFor|Significance|Stability|OnlineScorer|OnlineBatchEquivalence|ExplanationEngine|Integration|GridSearch|Bootstrap|ParallelDeterminism|CustomerStateStore|ScoringFleet|FleetSnapshot|ServeDeterminism|ServeMemory|BlockArena|Facade|Failpoint|RetryPolicy|RetryWithBackoff|ServeFault|SnapshotFuzz|Journal|TelemetryConcurrency|FlightRecorder|Http|ParseReceiptBatch|AdmissionGate|Router|IngestCoalescer|WriteBatchReportJson|WriteCustomerJson|WriteHealthJson|WriteErrorJson|WriteSnapshotJson'
+TEST_FILTER='ThreadPool|ParallelFor|Significance|Stability|OnlineScorer|OnlineBatchEquivalence|ExplanationEngine|Integration|GridSearch|Bootstrap|ParallelDeterminism|CustomerStateStore|ScoringFleet|FleetSnapshot|ServeDeterminism|ServeMemory|BlockArena|Facade|Failpoint|RetryPolicy|RetryWithBackoff|ServeFault|SnapshotFuzz|Journal|TelemetryConcurrency|FlightRecorder|Http|ParseReceiptBatch|AdmissionGate|Router|IngestCoalescer|WriteBatchReportJson|WriteCustomerJson|WriteHealthJson|WriteErrorJson|WriteSnapshotJson|Dataset|Robustness|TransactionStore'
 
 for sanitizer in "${SANITIZERS[@]}"; do
   build_dir="build-${sanitizer}san"
