@@ -201,20 +201,18 @@ Result<BinaryReader> BinaryReader::OpenFile(const std::string& path) {
 
 Result<uint64_t> BinaryReader::ReadVarint() {
   uint64_t value = 0;
-  int shift = 0;
-  while (pos_ < data_.size()) {
-    const uint8_t byte = static_cast<uint8_t>(data_[pos_++]);
-    if (shift >= 64 || (shift == 63 && (byte & 0x7F) > 1)) {
+  switch (DecodeVarint(&value)) {
+    case VarintFault::kNone:
+      return value;
+    case VarintFault::kOverflow:
       return Status::OutOfRange("varint overflows 64 bits");
-    }
-    value |= static_cast<uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) return value;
-    shift += 7;
+    case VarintFault::kTruncated:
+      break;
   }
   return Status::OutOfRange("truncated varint at end of buffer");
 }
 
-Status BinaryReader::SkipVarints(uint64_t count) {
+bool BinaryReader::SkipVarints(uint64_t count) {
   // A varint ends at its first byte without the continuation bit, so
   // skipping is counting such bytes: one compare per byte, no decode.
   const size_t size = data_.size();
@@ -223,22 +221,19 @@ Status BinaryReader::SkipVarints(uint64_t count) {
     count -= static_cast<uint8_t>(data_[pos++]) < 0x80 ? 1 : 0;
   }
   pos_ = pos;
-  if (count > 0) return Status::OutOfRange("truncated varint at end of buffer");
-  return Status::OK();
+  return count == 0;
 }
 
 Result<int64_t> BinaryReader::ReadSignedVarint() {
   CHURNLAB_ASSIGN_OR_RETURN(const uint64_t zigzag, ReadVarint());
-  return static_cast<int64_t>((zigzag >> 1) ^ (~(zigzag & 1) + 1));
+  return ZigZagDecode(zigzag);
 }
 
 Result<double> BinaryReader::ReadDouble() {
-  if (remaining() < 8) {
+  double value;
+  if (!TryReadDouble(&value)) {
     return Status::OutOfRange("truncated double at end of buffer");
   }
-  double value;
-  std::memcpy(&value, data_.data() + pos_, 8);
-  pos_ += 8;
   return value;
 }
 
