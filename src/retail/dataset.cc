@@ -43,6 +43,9 @@ void RecordDatasetLoaded(const Dataset& dataset, double seconds) {
 // the 8-byte spend.
 constexpr size_t kMinReceiptBytes = 11;
 
+// Receipts per chunk of LoadBinary's parallel decode.
+constexpr size_t kChunkReceipts = 1024;
+
 // Reads one receipt's fields at `reader`; each read names its fault.
 Status ReadReceipt(BinaryReader* reader, Receipt* receipt) {
   CHURNLAB_ASSIGN_OR_RETURN(const uint64_t customer, reader->ReadVarint());
@@ -124,30 +127,28 @@ bool SkipReceipt(BinaryReader* reader) {
 
 // Decodes the `num_receipts` receipts at `reader` on every core and leaves
 // `reader` after them. One skim on the calling thread finds where each
-// chunk of Dataset::kLoadChunkReceipts receipts starts; then the threads
-// claim chunks in turn, so a slow core holds up no fixed share, and decode
-// each into its slots of one exactly sized vector. Any failure is the one
+// chunk of kChunkReceipts receipts starts; then the threads claim chunks
+// in turn, so a slow core holds up no fixed share, and decode each into
+// its slots of one exactly sized vector. Any failure is the one
 // a receipt-by-receipt decode reports: chunks are checked in order, and
 // each stops at its first bad receipt.
 Result<std::vector<Receipt>> DecodeReceipts(uint64_t num_receipts,
                                             BinaryReader* reader) {
-  constexpr size_t kChunk = Dataset::kLoadChunkReceipts;
   // The count is untrusted; the bytes bound how many receipts there are.
   std::vector<size_t> chunk_starts;
   chunk_starts.reserve(
       std::min<uint64_t>(num_receipts, reader->remaining() / kMinReceiptBytes) /
-          kChunk +
-      1);
+          kChunkReceipts + 1);
   // A receipt the skim cannot step over ends the last chunk, whose decode
   // fails there or at an earlier bad receipt.
   bool skimmed = true;
   for (uint64_t r = 0; r < num_receipts && skimmed; ++r) {
-    if (r % kChunk == 0) chunk_starts.push_back(reader->position());
+    if (r % kChunkReceipts == 0) chunk_starts.push_back(reader->position());
     skimmed = SkipReceipt(reader);
   }
   const size_t chunks = chunk_starts.size();
-  const size_t decoded =
-      static_cast<size_t>(std::min<uint64_t>(num_receipts, chunks * kChunk));
+  const size_t decoded = static_cast<size_t>(
+      std::min<uint64_t>(num_receipts, chunks * kChunkReceipts));
   std::vector<Receipt> receipts(decoded);
   std::vector<Status> chunk_status(chunks);
   const size_t threads =
@@ -156,8 +157,9 @@ Result<std::vector<Receipt>> DecodeReceipts(uint64_t num_receipts,
   ParallelFor(0, std::min(threads, chunks), threads, [&](size_t) {
     for (size_t c = next_chunk++; c < chunks; c = next_chunk++) {
       BinaryReader chunk = reader->ViewAt(chunk_starts[c]);
-      const size_t end = std::min(decoded, (c + 1) * kChunk);
-      for (size_t r = c * kChunk; r < end && chunk_status[c].ok(); ++r) {
+      const size_t end = std::min(decoded, (c + 1) * kChunkReceipts);
+      for (size_t r = c * kChunkReceipts; r < end && chunk_status[c].ok();
+           ++r) {
         chunk_status[c] = DecodeReceipt(*reader, &chunk, &receipts[r]);
       }
     }

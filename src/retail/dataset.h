@@ -119,14 +119,10 @@ class Dataset {
   Status SaveBinary(const std::string& path) const;
 
   /// Reads a binary file written by SaveBinary. The result is finalized.
-  /// The receipts are decoded on every core, in chunks of
-  /// kLoadChunkReceipts, straight into one exactly sized vector. A file
-  /// with bad receipts fails with the status of the first of them, as a
-  /// receipt-by-receipt decode would.
+  /// The receipts are decoded on every core, in chunks of 1,024, straight
+  /// into one exactly sized vector. A file with bad receipts fails with
+  /// the status of the first of them, as a receipt-by-receipt decode would.
   static Result<Dataset> LoadBinary(const std::string& path);
-
-  /// Receipts per chunk of LoadBinary's parallel decode.
-  static constexpr size_t kLoadChunkReceipts = 1024;
 
  private:
   TransactionStore store_;
