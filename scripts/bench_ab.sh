@@ -43,14 +43,14 @@ WORK_DIR=$(cd "${WORK_DIR}" && pwd)
 echo "bench_ab: base ${base_commit}, head ${head_commit}, in ${WORK_DIR}" >&2
 
 # One checkout per side, reused by a later A/B in the same WORK_DIR only
-# while it holds the same commit. Its first run also builds it; the build
-# is part of no metric.
+# while it holds the same commit (else it and its results are replaced).
+# Its first run also builds it; the build is part of no metric.
 for side in base head; do
   commit=${base_commit}
   [[ ${side} == head ]] && commit=${head_commit}
   checkout="${WORK_DIR}/${side}"
   if [[ "$(cat "${checkout}.commit" 2>/dev/null)" != "${commit}" ]]; then
-    rm -rf "${checkout}" "${checkout}.commit"
+    rm -rf "${checkout}" "${checkout}.commit" "${WORK_DIR}/results/${side}"
     mkdir -p "${checkout}"
     git -C "${repo_root}" archive "${commit}" | tar -x -C "${checkout}"
     echo "${commit}" > "${checkout}.commit"
