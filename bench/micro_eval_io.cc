@@ -83,7 +83,7 @@ void BM_SaveLoadBinary(benchmark::State& state) {
 // thread's CPU time would leave out.
 BENCHMARK(BM_SaveLoadBinary)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// Load only, from a file of about 106k receipts.
+// Load only, from a file of 103,889 receipts.
 void BM_LoadBinary(benchmark::State& state) {
   static const retail::Dataset* const kDataset = NewPaperDataset(1000);
   const std::string path = "/tmp/churnlab_bench_load.clb";
