@@ -201,13 +201,15 @@ Result<BinaryReader> BinaryReader::OpenFile(const std::string& path) {
 
 Result<uint64_t> BinaryReader::ReadVarint() {
   uint64_t value = 0;
-  switch (DecodeVarint(&value)) {
-    case VarintFault::kNone:
-      return value;
-    case VarintFault::kOverflow:
+  int shift = 0;
+  while (pos_ < data_.size()) {
+    const uint8_t byte = static_cast<uint8_t>(data_[pos_++]);
+    if (shift >= 64 || (shift == 63 && (byte & 0x7F) > 1)) {
       return Status::OutOfRange("varint overflows 64 bits");
-    case VarintFault::kTruncated:
-      break;
+    }
+    value |= static_cast<uint64_t>(byte & 0x7F) << shift;
+    if ((byte & 0x80) == 0) return value;
+    shift += 7;
   }
   return Status::OutOfRange("truncated varint at end of buffer");
 }
@@ -226,14 +228,16 @@ bool BinaryReader::SkipVarints(uint64_t count) {
 
 Result<int64_t> BinaryReader::ReadSignedVarint() {
   CHURNLAB_ASSIGN_OR_RETURN(const uint64_t zigzag, ReadVarint());
-  return ZigZagDecode(zigzag);
+  return static_cast<int64_t>((zigzag >> 1) ^ (~(zigzag & 1) + 1));
 }
 
 Result<double> BinaryReader::ReadDouble() {
-  double value;
-  if (!TryReadDouble(&value)) {
+  if (remaining() < 8) {
     return Status::OutOfRange("truncated double at end of buffer");
   }
+  double value;
+  std::memcpy(&value, data_.data() + pos_, 8);
+  pos_ += 8;
   return value;
 }
 

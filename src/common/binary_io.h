@@ -89,26 +89,6 @@ class BinaryReader {
   Result<uint64_t> ReadVarint();
   Result<int64_t> ReadSignedVarint();
   Result<double> ReadDouble();
-
-  /// ReadVarint, ReadSignedVarint and ReadDouble for hot loops over bytes
-  /// that are usually well formed: no Status is built, a fault is just
-  /// `false`, and the reader is then left anywhere. Re-read the record with
-  /// the Read* calls to name the fault.
-  bool TryReadVarint(uint64_t* value) {
-    return DecodeVarint(value) == VarintFault::kNone;
-  }
-  bool TryReadSignedVarint(int64_t* value) {
-    uint64_t zigzag;
-    if (!TryReadVarint(&zigzag)) return false;
-    *value = ZigZagDecode(zigzag);
-    return true;
-  }
-  bool TryReadDouble(double* value) {
-    if (remaining() < 8) return false;
-    std::memcpy(value, data_.data() + pos_, 8);
-    pos_ += 8;
-    return true;
-  }
   Result<std::string> ReadString();
   /// Reads exactly `size` raw bytes (the counterpart of WriteBytes when the
   /// length is framed externally, e.g. snapshot shard frames). `size` is
@@ -141,31 +121,6 @@ class BinaryReader {
 
  private:
   BinaryReader() = default;
-
-  enum class VarintFault { kNone, kOverflow, kTruncated };
-
-  static int64_t ZigZagDecode(uint64_t zigzag) {
-    return static_cast<int64_t>((zigzag >> 1) ^ (~(zigzag & 1) + 1));
-  }
-
-  /// The one LEB128 decoder behind ReadVarint and TryReadVarint.
-  VarintFault DecodeVarint(uint64_t* value) {
-    uint64_t result = 0;
-    int shift = 0;
-    while (pos_ < data_.size()) {
-      const uint8_t byte = static_cast<uint8_t>(data_[pos_++]);
-      if (shift >= 64 || (shift == 63 && (byte & 0x7F) > 1)) {
-        return VarintFault::kOverflow;
-      }
-      result |= static_cast<uint64_t>(byte & 0x7F) << shift;
-      if ((byte & 0x80) == 0) {
-        *value = result;
-        return VarintFault::kNone;
-      }
-      shift += 7;
-    }
-    return VarintFault::kTruncated;
-  }
 
   /// The bytes an owning reader holds (null for Over); heap-held so a move
   /// leaves data_ pointing at them.

@@ -1,7 +1,6 @@
 #include "retail/dataset.h"
 
 #include <algorithm>
-#include <atomic>
 #include <sstream>
 #include <thread>
 
@@ -62,7 +61,6 @@ Status ReadReceipt(BinaryReader* reader, Receipt* receipt) {
         "receipt item count exceeds remaining dataset bytes");
   }
   std::vector<ItemId>& items = receipt->items;
-  items.clear();
   items.reserve(item_count);
   ItemId previous = 0;
   for (uint64_t i = 0; i < item_count; ++i) {
@@ -73,65 +71,28 @@ Status ReadReceipt(BinaryReader* reader, Receipt* receipt) {
   return Status::OK();
 }
 
-// ReadReceipt without a Status per read: false at the first fault, with
-// `reader` left anywhere. Building those Statuses costs about a third of
-// the decode.
-bool TryReadReceipt(BinaryReader* reader, Receipt* receipt) {
-  uint64_t customer = 0;
-  int64_t day = 0;
-  uint64_t item_count = 0;
-  if (!reader->TryReadVarint(&customer) ||
-      !reader->TryReadSignedVarint(&day) ||
-      !reader->TryReadDouble(&receipt->spend) ||
-      !reader->TryReadVarint(&item_count) ||
-      item_count > reader->remaining()) {
-    return false;
-  }
-  receipt->customer = static_cast<CustomerId>(customer);
-  receipt->day = static_cast<Day>(day);
-  std::vector<ItemId>& items = receipt->items;
-  items.reserve(item_count);
-  ItemId previous = 0;
-  for (uint64_t i = 0; i < item_count; ++i) {
-    uint64_t delta = 0;
-    if (!reader->TryReadVarint(&delta)) return false;
-    previous = static_cast<ItemId>(previous + delta);
-    items.push_back(previous);
-  }
-  return true;
-}
-
-// Decodes one receipt at `chunk`, a reader from ViewAt, and normalises it
-// as Append does. A receipt the fast path rejects is read again with
-// ReadReceipt, so its fault is named exactly as before.
-Status DecodeReceipt(const BinaryReader& bytes, BinaryReader* chunk,
-                     Receipt* receipt) {
-  const size_t start = chunk->position();
-  if (!TryReadReceipt(chunk, receipt)) {
-    *chunk = bytes.ViewAt(start);
-    CHURNLAB_RETURN_NOT_OK(ReadReceipt(chunk, receipt));
-  }
+// Decodes one receipt at `chunk` and normalises it as Append does.
+Status DecodeReceipt(BinaryReader* chunk, Receipt* receipt) {
+  CHURNLAB_RETURN_NOT_OK(ReadReceipt(chunk, receipt));
   return TransactionStore::NormalizeReceipt(receipt);
 }
 
-// Steps over one receipt without decoding it, with the bounds checks of
-// ReadReceipt; false where ReadReceipt would fail (or, for an over-long
-// varint, fail earlier).
+// Steps over one receipt without decoding its items, with the bounds
+// checks of ReadReceipt; false where ReadReceipt would fail (or, for an
+// over-long varint, fail earlier).
 bool SkipReceipt(BinaryReader* reader) {
-  double spend = 0.0;
-  uint64_t item_count = 0;
-  return reader->SkipVarints(2) &&  // customer, day
-         reader->TryReadDouble(&spend) && reader->TryReadVarint(&item_count) &&
-         item_count <= reader->remaining() && reader->SkipVarints(item_count);
+  if (!reader->SkipVarints(2) || !reader->ReadDouble().ok()) return false;
+  const Result<uint64_t> item_count = reader->ReadVarint();
+  return item_count.ok() && *item_count <= reader->remaining() &&
+         reader->SkipVarints(*item_count);
 }
 
 // Decodes the `num_receipts` receipts at `reader` on every core and leaves
 // `reader` after them. One skim on the calling thread finds where each
-// chunk of kChunkReceipts receipts starts; then the threads claim chunks
-// in turn, so a slow core holds up no fixed share, and decode each into
-// its slots of one exactly sized vector. Any failure is the one
-// a receipt-by-receipt decode reports: chunks are checked in order, and
-// each stops at its first bad receipt.
+// chunk of kChunkReceipts receipts starts; then the threads decode the
+// chunks into their slots of one exactly sized vector. Any failure is the
+// one a receipt-by-receipt decode reports: chunks are checked in order,
+// and each stops at its first bad receipt.
 Result<std::vector<Receipt>> DecodeReceipts(uint64_t num_receipts,
                                             BinaryReader* reader) {
   // The count is untrusted; the bytes bound how many receipts there are.
@@ -153,15 +114,11 @@ Result<std::vector<Receipt>> DecodeReceipts(uint64_t num_receipts,
   std::vector<Status> chunk_status(chunks);
   const size_t threads =
       std::max<size_t>(1, std::thread::hardware_concurrency());
-  std::atomic<size_t> next_chunk{0};
-  ParallelFor(0, std::min(threads, chunks), threads, [&](size_t) {
-    for (size_t c = next_chunk++; c < chunks; c = next_chunk++) {
-      BinaryReader chunk = reader->ViewAt(chunk_starts[c]);
-      const size_t end = std::min(decoded, (c + 1) * kChunkReceipts);
-      for (size_t r = c * kChunkReceipts; r < end && chunk_status[c].ok();
-           ++r) {
-        chunk_status[c] = DecodeReceipt(*reader, &chunk, &receipts[r]);
-      }
+  ParallelFor(0, chunks, threads, [&](size_t c) {
+    BinaryReader chunk = reader->ViewAt(chunk_starts[c]);
+    const size_t end = std::min(decoded, (c + 1) * kChunkReceipts);
+    for (size_t r = c * kChunkReceipts; r < end && chunk_status[c].ok(); ++r) {
+      chunk_status[c] = DecodeReceipt(&chunk, &receipts[r]);
     }
   });
   for (Status& status : chunk_status) {

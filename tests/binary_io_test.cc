@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <limits>
-#include <string>
 
 #include <gtest/gtest.h>
 
@@ -183,43 +182,6 @@ TEST(BinaryIo, RemainingTracksConsumption) {
   EXPECT_EQ(reader.remaining(), 8u);
   ASSERT_TRUE(reader.ReadDouble().ok());
   EXPECT_TRUE(reader.AtEnd());
-}
-
-TEST(BinaryIo, TryReadsAgreeWithReads) {
-  // Every prefix of a mixed record: the Try reads succeed exactly where
-  // the Read calls do, with the same values.
-  BinaryWriter writer;
-  writer.WriteVarint(300);
-  writer.WriteSignedVarint(-7);
-  writer.WriteDouble(2.5);
-  writer.WriteVarint(std::numeric_limits<uint64_t>::max());
-  const std::string bytes = writer.buffer();
-  for (size_t cut = 0; cut <= bytes.size(); ++cut) {
-    BinaryReader checked(bytes.substr(0, cut));
-    BinaryReader fast(bytes.substr(0, cut));
-    uint64_t a = 0, d = 0;
-    int64_t b = 0;
-    double c = 0.0;
-    const auto ra = checked.ReadVarint();
-    EXPECT_EQ(fast.TryReadVarint(&a), ra.ok()) << cut;
-    if (!ra.ok()) continue;
-    EXPECT_EQ(a, *ra);
-    const auto rb = checked.ReadSignedVarint();
-    EXPECT_EQ(fast.TryReadSignedVarint(&b), rb.ok()) << cut;
-    if (!rb.ok()) continue;
-    EXPECT_EQ(b, *rb);
-    const auto rc = checked.ReadDouble();
-    EXPECT_EQ(fast.TryReadDouble(&c), rc.ok()) << cut;
-    if (!rc.ok()) continue;
-    EXPECT_EQ(c, *rc);
-    const auto rd = checked.ReadVarint();
-    EXPECT_EQ(fast.TryReadVarint(&d), rd.ok()) << cut;
-    if (rd.ok()) EXPECT_EQ(d, *rd);
-  }
-  const std::string overlong(11, '\xFF');
-  BinaryReader reader(overlong);
-  uint64_t value = 0;
-  EXPECT_FALSE(reader.TryReadVarint(&value));
 }
 
 TEST(BinaryIo, SkipVarintsIsBoundsChecked) {
