@@ -452,14 +452,10 @@ TEST(JournalScanTest, RecoverRidesOutAThrowingShardTask) {
 }
 
 TEST(JournalScanTest, RecoverRidesOutSparseReceiptFaultsOverTheWholeReplay) {
-  // Every second receipt of customer 5 throws: over the whole replay its
-  // shard meets more faults than its retry budget, but no receipt fails
-  // twice in a row, so — as in a replay of one IngestBatch per frame —
-  // each fault is retried away and the recovered fleet equals the
-  // fault-free oracle. The key keeps the schedule one customer's: the
-  // replay runs shards on every core, and a count shared by all shards
-  // could land a retried receipt on a firing hit again (see key(K) in
-  // failpoint.h).
+  // Over the whole replay a shard meets more faults than its retry budget,
+  // but no receipt fails twice in a row, so — as in a replay of one
+  // IngestBatch per frame — each fault is retried away and the recovered
+  // fleet equals the fault-free oracle.
   const std::string dir = FreshDir("journal_scan_receipt_throw");
   const auto frames = FramesWithBadReceipts(true, true);
   WriteFrames(dir, frames);
@@ -469,25 +465,52 @@ TEST(JournalScanTest, RecoverRidesOutSparseReceiptFaultsOverTheWholeReplay) {
   const FleetView expected = ViewOf(*offline);
   const Failpoint* const site =
       FailpointRegistry::Global().Get("serve.ingest.receipt");
-  constexpr char kSpec[] = "serve.ingest.receipt=throw@every(2)@key(5)";
+  // One receipt in seven throws, on every shard.
+  constexpr char kEverySpec[] = "serve.ingest.receipt=throw@every(7)";
+  // Every second receipt of customer 5 throws, all in one shard.
+  constexpr char kKeyedSpec[] = "serve.ingest.receipt=throw@every(2)@key(5)";
 
   // The per-frame replay rides the faults out too.
-  ASSERT_TRUE(FailpointRegistry::Global().ArmFromSpec(kSpec).ok());
-  Result<ScoringFleet> faulty_offline = ReplayPerFrame(frames, true);
-  FailpointRegistry::Global().DisarmAll();
-  ASSERT_TRUE(faulty_offline.ok()) << faulty_offline.status().ToString();
-  EXPECT_EQ(ViewOf(*faulty_offline), expected);
+  for (const char* spec : {kEverySpec, kKeyedSpec}) {
+    FailpointRegistry::Global().DisarmAll();
+    ASSERT_TRUE(FailpointRegistry::Global().ArmFromSpec(spec).ok());
+    Result<ScoringFleet> faulty_offline = ReplayPerFrame(frames, true);
+    FailpointRegistry::Global().DisarmAll();
+    ASSERT_TRUE(faulty_offline.ok()) << faulty_offline.status().ToString();
+    EXPECT_EQ(ViewOf(*faulty_offline), expected) << spec;
+  }
 
+  // Recover's fan-out — one Ingest of every journaled receipt — on one
+  // thread, where hits come in a fixed order: more faults than all shards'
+  // budgets together, so some shard met more than max_retries of them.
+  // Recover itself replays on every core, where a hit count shared by all
+  // shards could land a retried receipt on a firing hit again.
+  {
+    const FleetOptions options = PinFleetOptions(1, true);
+    auto fleet = ScoringFleet::Make(options, nullptr).ValueOrDie();
+    ASSERT_TRUE(FailpointRegistry::Global().ArmFromSpec(kEverySpec).ok());
+    const Result<BatchReport> report = fleet.IngestBatch(recovery.receipts);
+    const uint64_t fires = site->fires();
+    FailpointRegistry::Global().DisarmAll();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_GT(fires, options.num_shards *
+                         static_cast<uint64_t>(options.shard_retry.max_retries));
+    EXPECT_EQ(fleet.HealthReport().poisoned_shards, 0u);
+    EXPECT_EQ(ViewOf(fleet), expected);
+  }
+
+  // Recover on every core, with faults keyed to one customer so their
+  // schedule is its own (see key(K) in failpoint.h): all in customer 5's
+  // shard, more than its budget.
   for (const size_t threads : {size_t{1}, size_t{4}}) {
     FailpointRegistry::Global().DisarmAll();
-    ASSERT_TRUE(FailpointRegistry::Global().ArmFromSpec(kSpec).ok());
+    ASSERT_TRUE(FailpointRegistry::Global().ArmFromSpec(kKeyedSpec).ok());
     const FleetOptions options = PinFleetOptions(threads, true);
     Result<ScoringFleet> recovered =
         ScoringFleet::Recover(recovery, "", options, nullptr);
     const uint64_t fires = site->fires();
     FailpointRegistry::Global().DisarmAll();
     ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-    // All of them in customer 5's shard, more than its budget.
     EXPECT_GT(fires,
               static_cast<uint64_t>(options.shard_retry.max_retries))
         << threads << " threads";
